@@ -112,7 +112,8 @@ void BuildStore(const std::string& dir, uint64_t n, uint64_t checkpoint_at,
   pending.reserve(batch);
   auto flush = [&] {
     if (pending.empty()) return;
-    Status st = (*store)->Append(pending);
+    Status st = (*store)->AppendUnsynced(pending);
+    if (st.ok()) st = (*store)->Sync();
     if (!st.ok()) {
       std::fprintf(stderr, "append: %s\n", st.ToString().c_str());
       std::exit(1);

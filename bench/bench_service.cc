@@ -25,13 +25,14 @@
 //     the writer-starvation column distinguishes them.
 //
 // Also reports write-path throughput: single updates, batched updates,
-// and journaled (fsync-bound) updates.
+// and durable updates (a DurableStore, one cohort fsync per batch).
 //
 // Usage: bench_service [rows] [seconds-per-point] [--json=PATH]
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,9 +65,9 @@ ViewTranslator MakeBoundTranslator(int rows) {
 }
 
 std::unique_ptr<UpdateService> MakeService(int rows,
-                                           const std::string& journal) {
+                                           const std::string& store_dir) {
   ServiceOptions options;
-  options.journal_path = journal;
+  options.store.dir = store_dir;
   auto service = UpdateService::Create(MakeBoundTranslator(rows), options);
   if (!service.ok()) {
     std::fprintf(stderr, "service: %s\n",
@@ -327,7 +328,7 @@ int main(int argc, char** argv) {
               rows, secs, cores);
 
   // --- 1. Read scaling under a live mixed writer ----------------------
-  auto service = MakeService(rows, /*journal=*/"");
+  auto service = MakeService(rows, /*store_dir=*/"");
   std::printf("snapshot reads (read = snapshot + point query):\n");
   std::printf("%-8s %16s %16s %10s\n", "readers", "reads/s", "writes/s",
               "scaling");
@@ -394,13 +395,14 @@ int main(int argc, char** argv) {
     json.Add("writes_per_sec_batch16", ups);
   }
   {
-    const std::string journal = "/tmp/relview_bench_service.journal";
-    std::remove(journal.c_str());
-    auto s = MakeService(rows, journal);
+    const std::string store_dir = "/tmp/relview_bench_service.store";
+    std::filesystem::remove_all(store_dir);
+    auto s = MakeService(rows, store_dir);
     const double ups = WriteOnlyThroughput(s.get(), secs, 16);
     std::printf("%-28s %16.0f\n", "journaled+fsync (batch=16)", ups);
     json.Add("writes_per_sec_journaled16", ups);
-    std::remove(journal.c_str());
+    s.reset();
+    std::filesystem::remove_all(store_dir);
   }
 
   std::printf("\nmixed-workload metrics: %s\n",

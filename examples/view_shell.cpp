@@ -2,9 +2,9 @@
 // library. Declare a schema, a view and a complement; load rows; issue
 // view updates and watch the constant-complement translation work (or
 // refuse, with the failing condition of Theorem 3/8/9). Updates are served
-// through the UpdateService layer, so the shell also demonstrates
-// journaling (write-ahead log + replay on bind), atomic batches, and the
-// service metrics.
+// through the UpdateService layer, so the shell also demonstrates the
+// durable store (journal + checkpoints, recovered on bind), atomic
+// batches, and the service metrics.
 //
 // Commands (one per line; '#' starts a comment):
 //   schema <Attr> <Attr> ...          declare the universe
@@ -15,12 +15,9 @@
 //   row <val> <val> ...               add a database row (over U)
 //   load <file>                       load rows from a delimited file
 //                                     (header must name the attributes)
-//   journal <file>                    write-ahead journal accepted updates
-//                                     to <file>; existing records replay
-//                                     on 'bind' (set before 'bind')
-//   datadir <dir> [every [rotate]]    crash-safe store instead of a single
-//                                     journal file: rotated segments +
-//                                     checkpoints under <dir>; auto-
+//   datadir <dir> [every [rotate]]    crash-safe store: accepted updates
+//                                     are journaled (rotated segments) and
+//                                     checkpointed under <dir>; auto-
 //                                     checkpoint every <every> records
 //                                     (default 1024), rotate segments at
 //                                     <rotate> records (default 4096).
@@ -33,7 +30,9 @@
 //                                     recovery path did
 //   failpoint <name> <spec>           arm a fault-injection point (see
 //                                     docs/OPERATIONS.md), e.g.
-//                                     'failpoint journal.fsync error@2';
+//                                     'failpoint commit.fsync error' (a
+//                                     failed fsync refuses every later
+//                                     write until 'recover');
 //                                     'failpoint list' / 'failpoint clear'
 //   bind                              validate Sigma and start translating
 //   insert <val> ...                  insert a view tuple (over X)
@@ -127,7 +126,6 @@ class Shell {
     if (cmd == "complement") return CmdComplement(rest);
     if (cmd == "row") return CmdRow(tok);
     if (cmd == "load") return CmdLoad(rest);
-    if (cmd == "journal") return CmdJournal(rest);
     if (cmd == "datadir") return CmdDataDir(tok);
     if (cmd == "checkpoint") return CmdCheckpoint();
     if (cmd == "recover") return CmdRecover();
@@ -221,18 +219,6 @@ class Shell {
     for (const Tuple& r : table.relation.rows()) rows_.push_back(r);
     std::printf("  loaded %d rows (%zu staged)\n", table.relation.size(),
                 rows_.size());
-    return Status::OK();
-  }
-
-  Status CmdJournal(const std::string& path) {
-    if (path.empty()) return Status::InvalidArgument("usage: journal <file>");
-    if (service_) {
-      return Status::FailedPrecondition(
-          "set the journal before 'bind' (it replays onto the seed rows)");
-    }
-    journal_path_ = path;
-    std::printf("  journaling accepted updates to %s (replayed on bind)\n",
-                path.c_str());
     return Status::OK();
   }
 
@@ -336,7 +322,6 @@ class Shell {
     RELVIEW_RETURN_IF_ERROR(vt.Bind(std::move(db)));
     const bool good = vt.complement_is_good();
     ServiceOptions options;
-    options.journal_path = journal_path_;
     options.store = store_opts_;
     RELVIEW_ASSIGN_OR_RETURN(service_,
                              UpdateService::Create(std::move(vt), options));
@@ -585,7 +570,6 @@ class Shell {
   AttrSet x_, y_;
   ValuePool pool_;
   std::vector<Tuple> rows_;
-  std::string journal_path_;
   StoreOptions store_opts_;
   std::unique_ptr<UpdateService> service_;
   std::optional<std::vector<ViewUpdate>> batch_;
@@ -595,7 +579,7 @@ class Shell {
 
 int main() {
   // Operators can pre-arm fault injection, e.g.
-  //   RELVIEW_FAILPOINTS="journal.fsync=error@2" ./view_shell
+  //   RELVIEW_FAILPOINTS="commit.fsync=error@2" ./view_shell
   Status fp = Failpoints::InstallFromEnv();
   if (!fp.ok()) {
     std::fprintf(stderr, "RELVIEW_FAILPOINTS: %s\n", fp.ToString().c_str());

@@ -670,9 +670,12 @@ std::string HttpServer::HandleBatchInner(const HttpRequest& req,
   ev->detail = result.status.message();
   const StatusCode code = result.status.code();
   if (code == StatusCode::kInternal || code == StatusCode::kCorruption) {
-    // Durability failure (journal append/fsync, store rotation): the batch
-    // was rolled back and nothing was acked. 503 so clients retry against
-    // a recovered process rather than treating it as a semantic verdict.
+    // Durability failure: a failed journal append rolled the batch back; a
+    // failed cohort fsync left it unacknowledged and poisoned the tenant's
+    // store, so every later write gets this 503 too until the process
+    // restarts and recovers. Nothing was acked either way. 503 so clients
+    // retry against a recovered process rather than treating it as a
+    // semantic verdict.
     metrics_.RecordRefusal(RefusalKind::kDurability);
     metrics_.RecordResponse(503);
     ev->http_status = 503;

@@ -1,11 +1,11 @@
 /// \file
 /// Journal: the service layer's write-ahead log. One text record per
-/// accepted view update, appended and fsync'd *before* the update is
-/// published, so that replaying the journal against the seed database
-/// deterministically reproduces the served state (sound because constant-
-/// complement translators are morphisms — fact (ii) of the Bancilhon–
-/// Spyratos framework: translations of a serialized update sequence
-/// compose).
+/// accepted view update, appended and then fsync'd (by a commit leader's
+/// Sync) *before* the update is acknowledged or published, so that
+/// replaying the journal against the seed database deterministically
+/// reproduces the served state (sound because constant-complement
+/// translators are morphisms — fact (ii) of the Bancilhon–Spyratos
+/// framework: translations of a serialized update sequence compose).
 ///
 /// Record format (one line per record):
 ///
@@ -24,9 +24,9 @@
 /// crash. Anything *after* the first bad record is dropped with it, since
 /// ordering is what makes replay sound.
 ///
-/// Journals are either standalone files (Open/Read/Replay below) or
-/// segments of a rotated log managed by DurableStore (recovery.h), which
-/// adds checkpoint-bounded replay and compaction on top of this format.
+/// Each journal file is one segment of the rotated log that DurableStore
+/// (recovery.h) manages; the store adds checkpoint-bounded replay and
+/// compaction on top of this format.
 #ifndef RELVIEW_SERVICE_JOURNAL_H_
 #define RELVIEW_SERVICE_JOURNAL_H_
 
@@ -43,8 +43,6 @@
 #include "util/status.h"
 
 namespace relview {
-
-class ViewTranslator;
 
 /// FNV-1a 64-bit over `data`; the journal's record checksum.
 uint64_t JournalChecksum(const std::string& data);
@@ -86,53 +84,45 @@ class Journal {
   Journal& operator=(Journal&& o) noexcept;
   Journal(const Journal&) = delete;             ///< Not copyable.
   Journal& operator=(const Journal&) = delete;  ///< Not copyable.
-  /// Closes the file descriptor (appended records are already fsync'd).
+  /// Closes the file descriptor without an fsync: records no Sync() has
+  /// covered are not durable.
   ~Journal();
 
   /// Path this journal appends to.
   const std::string& path() const { return path_; }
 
-  /// Per-fsync latency distribution (one sample per Append/AppendAll).
+  /// Per-fsync latency distribution (one sample per successful Sync).
   /// Held behind a shared_ptr so telemetry collectors survive Journal
   /// moves (the histogram itself is atomic and non-movable).
   std::shared_ptr<const LatencyHistogram> fsync_latency() const {
     return fsync_latency_;
   }
 
-  /// Bytes appended through AppendAllUnsynced that no successful Sync()
-  /// (or synced append) has covered yet — the data a crash right now
-  /// would lose without violating acked ⊆ recovered (the riders were
-  /// never acked). Relaxed atomic: scrape-safe from any thread.
+  /// Bytes appended through AppendUnsynced that no successful Sync() has
+  /// covered yet — the data a crash right now would lose without
+  /// violating acked ⊆ recovered (the riders were never acked). Relaxed
+  /// atomic: scrape-safe from any thread.
   uint64_t unsynced_bytes() const {
     return unsynced_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Appends one record and fsyncs.
-  Status Append(const ViewUpdate& u);
+  /// Appends all records WITHOUT an fsync: durability is deferred to a
+  /// later Sync(), so several batches can append and one commit leader
+  /// fsyncs for the whole cohort. Records appended here must not be
+  /// acknowledged until a Sync() covering them returns OK. All-or-nothing
+  /// on the file: a failed write truncates the file back to the pre-batch
+  /// offset (and fsyncs the truncation), so a torn record never outlives
+  /// the error it reported. If even the rollback fails, the handle
+  /// *poisons* itself — every later append returns kFailedPrecondition
+  /// until the journal is reopened (which re-verifies and repairs the
+  /// tail). Failpoints: "journal.write" (error, or a short write that
+  /// models a crash mid-append: the torn tail stays on disk and the
+  /// handle is poisoned) and "journal.crash_after_write" (crash after the
+  /// write, before any fsync).
+  Status AppendUnsynced(const std::vector<ViewUpdate>& updates);
 
-  /// Appends all records with a single trailing fsync (group commit).
-  /// All-or-nothing on the file: a write or fsync failure truncates the
-  /// file back to the pre-batch offset (and fsyncs the truncation), so a
-  /// torn or phantom record never outlives the error it reported. If
-  /// even the rollback fails, the handle *poisons* itself — every
-  /// subsequent append returns kFailedPrecondition until the journal is
-  /// reopened (which re-verifies and repairs the tail).
-  /// Failpoints: "journal.write" (error, or a short write that models a
-  /// crash mid-append: the torn tail stays on disk and the handle is
-  /// poisoned), "journal.crash_after_write" (crash between write and
-  /// fsync), "journal.fsync" (error, rolled back like a real one).
-  Status AppendAll(const std::vector<ViewUpdate>& updates);
-
-  /// Appends all records WITHOUT the trailing fsync: the bytes are written
-  /// (and a failed write is still rolled off the file, exactly as in
-  /// AppendAll) but durability is deferred to a later Sync(). This is the
-  /// group-commit half-step: several batches append, then one leader
-  /// fsyncs for the whole cohort. Records appended through this path must
-  /// not be acknowledged until a Sync() covering them returns OK.
-  Status AppendAllUnsynced(const std::vector<ViewUpdate>& updates);
-
-  /// Fsyncs everything appended so far (the group-commit leader's half).
-  /// Safe to call concurrently with AppendAllUnsynced from another thread:
+  /// Fsyncs everything appended so far (the commit leader's half). Safe
+  /// to call concurrently with AppendUnsynced from another thread:
   /// it touches only the descriptor and atomic state, never the append
   /// offset. On fsync failure the handle poisons itself and every later
   /// append or sync fails with kFailedPrecondition — after a failed fsync
@@ -152,14 +142,6 @@ class Journal {
   static Result<JournalReadResult> Read(const std::string& path,
                                         bool repair = true);
 
-  /// Recovers state on startup: reads the journal and applies each record
-  /// to `translator` (which must be bound to the seed instance). Returns
-  /// kInternal if a journaled update no longer validates — an accepted
-  /// record must replay deterministically (fact (ii)), so a rejection
-  /// means the journal and seed have diverged; we refuse to guess.
-  static Result<JournalReadResult> Replay(const std::string& path,
-                                          ViewTranslator* translator);
-
  private:
   explicit Journal(std::string path, int fd) : path_(std::move(path)),
                                                fd_(fd) {}
@@ -169,16 +151,12 @@ class Journal {
   /// handle and reports that on top of `cause`.
   Status RollBackTo(off_t batch_start, Status cause);
 
-  /// Shared body of AppendAll / AppendAllUnsynced: encode, write, and
-  /// (when `sync` is set) fsync with rollback-on-failure.
-  Status AppendRecords(const std::vector<ViewUpdate>& updates, bool sync);
-
   std::string path_;
   int fd_ = -1;
   /// Set when a failed append could not be rolled off the file (the tail
   /// no longer ends at a committed record boundary) or when a Sync()
   /// fsync failed (dirty pages may be gone; see Sync). Atomic because the
-  /// group-commit leader syncs from a different thread than the appender.
+  /// commit leader syncs from a different thread than the appender.
   std::atomic<bool> poisoned_{false};
   /// See unsynced_bytes(). Mutated by the appender (adds) and the commit
   /// leader (zeroes on successful Sync), hence atomic like poisoned_.

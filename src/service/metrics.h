@@ -15,9 +15,11 @@
 /// sum-over-codes in an exported snapshot. The seqlock assumes a single
 /// writer at a time — recording methods that take a WriteScope are only
 /// called with the service's writer_mu_ held (or before the service is
-/// shared). Readers never block the writer; a reader that keeps losing
-/// races falls back to one relaxed-consistent pass after a bounded number
-/// of retries, so a scrape can degrade but never livelock.
+/// shared). Readers never block the writer and never return a torn read:
+/// a reader that finds a scope open (or sees the sequence move under it)
+/// yields and retries until it reads under one stable even sequence. A
+/// scope is a handful of stores, so a reader waits only while the writer
+/// keeps recording back to back.
 
 #ifndef RELVIEW_SERVICE_METRICS_H_
 #define RELVIEW_SERVICE_METRICS_H_
@@ -26,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include "obs/histogram.h"
 #include "service/update.h"
@@ -149,25 +152,25 @@ class ServiceMetrics {
   std::string ToJson() const;
 
   /// Runs `fn` (a pure read of this object's counters returning a value)
-  /// under the seqlock read protocol: retried until no WriteScope ran
-  /// concurrently, so the values `fn` read are mutually consistent. After
-  /// `kSeqlockMaxRetries` lost races it degrades to one relaxed-consistent
-  /// run rather than livelock behind a hot writer. `fn` may run while a
-  /// write is mid-flight (the torn result is discarded), so it must be
-  /// side-effect free.
+  /// under the seqlock read protocol: retried, yielding between attempts,
+  /// until no WriteScope ran concurrently, so the values `fn` read are
+  /// mutually consistent. `fn` may run while a write is mid-flight (the
+  /// torn result is discarded), so it must be side-effect free.
   template <typename Fn>
   auto ReadConsistent(Fn&& fn) const -> decltype(fn()) {
-    for (int i = 0; i < kSeqlockMaxRetries; ++i) {
+    while (true) {
       // Boehm's seqlock-reader recipe: acquire-load the sequence, do the
       // (relaxed) payload reads, then an acquire fence orders those reads
       // before the re-check of the sequence word.
       const uint64_t s1 = seq_.load(std::memory_order_acquire);
-      if (s1 & 1) continue;  // writer mid-scope
-      auto result = fn();
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq_.load(std::memory_order_relaxed) == s1) return result;
+      if ((s1 & 1) == 0) {  // even: no writer mid-scope
+        auto result = fn();
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (seq_.load(std::memory_order_relaxed) == s1) return result;
+      }
+      // Let the writer finish its scope rather than spin through it.
+      std::this_thread::yield();
     }
-    return fn();
   }
 
   /// RAII seqlock write scope bracketing one multi-counter recording.
@@ -196,9 +199,6 @@ class ServiceMetrics {
   };
 
  private:
-  /// Seqlock read retries before degrading to a relaxed read.
-  static constexpr int kSeqlockMaxRetries = 64;
-
   std::array<std::atomic<uint64_t>, kKinds> accepted_{};
   std::array<std::atomic<uint64_t>, kKinds> rejected_{};
   std::array<std::atomic<uint64_t>, kStatusCodes> rejected_by_code_{};

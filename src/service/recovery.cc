@@ -268,30 +268,14 @@ Status DurableStore::OpenActiveSegment() {
   return Status::OK();
 }
 
-Status DurableStore::Append(const std::vector<ViewUpdate>& updates) {
-  if (!active_.has_value()) {
-    return Status::FailedPrecondition("durable store not open");
-  }
-  if (updates.empty()) return Status::OK();
-  if (segments_.back().records >= options_.rotate_records) {
-    RELVIEW_TRACE_SPAN("journal.rotate");
-    active_.reset();  // close the full segment; its records are fsync'd
-    const uint64_t cur = seq();
-    segments_.push_back(Segment{SegmentPath(cur), cur, 0});
-    SyncSegmentCount();
-    RELVIEW_ASSIGN_OR_RETURN(
-        Journal j, Journal::Open(segments_.back().path, fsync_latency_));
-    active_ = std::move(j);
-  }
-  RELVIEW_RETURN_IF_ERROR(active_->AppendAll(updates));
-  segments_.back().records += updates.size();
-  seq_.fetch_add(updates.size(), std::memory_order_relaxed);
-  return Status::OK();
-}
-
 Status DurableStore::AppendUnsynced(const std::vector<ViewUpdate>& updates) {
   if (!active_.has_value()) {
     return Status::FailedPrecondition("durable store not open");
+  }
+  if (fsync_failed_.load(std::memory_order_acquire)) {
+    return Status::Internal("durable store " + options_.dir +
+                            ": an earlier fsync failed; reopen the store "
+                            "before appending");
   }
   if (updates.empty()) return Status::OK();
   if (segments_.back().records >= options_.rotate_records) {
@@ -301,7 +285,7 @@ Status DurableStore::AppendUnsynced(const std::vector<ViewUpdate>& updates) {
     // has synced yet — fsync it before closing, or they could be lost
     // with no Sync() left that reaches them.
     MutexLock lock(commit_sync_mu_);
-    RELVIEW_RETURN_IF_ERROR(active_->Sync());
+    RELVIEW_RETURN_IF_ERROR(SyncActive());
     active_.reset();
     const uint64_t cur = seq();
     segments_.push_back(Segment{SegmentPath(cur), cur, 0});
@@ -311,7 +295,7 @@ Status DurableStore::AppendUnsynced(const std::vector<ViewUpdate>& updates) {
     active_ = std::move(j);
     synced_through_ = cur;
   }
-  RELVIEW_RETURN_IF_ERROR(active_->AppendAllUnsynced(updates));
+  RELVIEW_RETURN_IF_ERROR(active_->AppendUnsynced(updates));
   segments_.back().records += updates.size();
   seq_.fetch_add(updates.size(), std::memory_order_relaxed);
   // Mirror the active journal's unsynced-byte count for scrapes (which
@@ -332,13 +316,19 @@ Status DurableStore::Sync() {
   const uint64_t upto = seq();
   if (synced_through_ >= upto) return Status::OK();
   RELVIEW_FAILPOINT("commit.crash_before_sync");  // crash-armed only
-  RELVIEW_RETURN_IF_ERROR(active_->Sync());
+  RELVIEW_RETURN_IF_ERROR(SyncActive());
   RELVIEW_FAILPOINT("commit.crash_after_sync");  // crash-armed only
   synced_through_ = upto;
   // Journal::Sync claimed its own unsynced-byte counter; re-read it (an
   // appender may have raced more bytes in) rather than storing zero.
   unsynced_bytes_.store(active_->unsynced_bytes(), std::memory_order_relaxed);
   return Status::OK();
+}
+
+Status DurableStore::SyncActive() {
+  Status st = active_->Sync();
+  if (!st.ok()) fsync_failed_.store(true, std::memory_order_release);
+  return st;
 }
 
 Result<uint64_t> DurableStore::WriteCheckpoint(const Relation& database) {

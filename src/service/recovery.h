@@ -52,8 +52,7 @@ class ViewTranslator;
 /// Tuning and placement knobs for a DurableStore.
 struct StoreOptions {
   /// Directory holding segments and checkpoints; created if absent.
-  /// Empty disables the store (UpdateService then runs un-journaled or
-  /// with the legacy single-file journal).
+  /// Empty disables the store (UpdateService then runs in memory).
   std::string dir;
   /// Rotate to a fresh segment once the active one holds at least this
   /// many records. A batch is never split across segments.
@@ -90,8 +89,11 @@ struct RecoveryInfo {
 };
 
 /// The persistence engine behind UpdateService: owns the segment files
-/// and checkpoints under StoreOptions::dir. Not internally synchronized —
-/// the service serializes all calls behind its writer mutex.
+/// and checkpoints under StoreOptions::dir. Two halves: the writer half
+/// (AppendUnsynced, WriteCheckpoint) is not internally synchronized — the
+/// service calls it only under its writer mutex — while Sync() and the
+/// counter accessors are safe from any thread, so a commit leader can
+/// fsync while the next batch appends.
 class DurableStore {
  public:
   /// Opens the store and runs recovery into `translator` (which must be
@@ -109,30 +111,27 @@ class DurableStore {
   /// The options the store was opened with.
   const StoreOptions& options() const { return options_; }
 
-  /// Appends one committed batch to the active segment (rotating first if
-  /// it is full) and fsyncs. On success the store's sequence number
-  /// advances by updates.size().
-  Status Append(const std::vector<ViewUpdate>& updates);
-
-  /// Appends one batch WITHOUT fsyncing it — the group-commit staging
-  /// half. The batch is not durable until a later Sync() returns OK, so
-  /// callers must not acknowledge it yet. Like every other mutator this
-  /// is writer-serialized (one appender at a time), but it is safe to run
-  /// concurrently with Sync() from a commit-leader thread: rotation (the
-  /// only operation that swaps the active segment handle) excludes Sync
-  /// via an internal mutex, and a full segment is fsync'd before being
-  /// closed so rotation never abandons unsynced records.
+  /// Appends one batch to the active segment (rotating first if it is
+  /// full) WITHOUT fsyncing it; the store's sequence number advances by
+  /// updates.size(). The batch is not durable until a later Sync()
+  /// returns OK, so callers must not acknowledge it yet. Writer-serialized
+  /// (one appender at a time), but safe to run concurrently with Sync()
+  /// from a commit-leader thread: rotation (the only operation that swaps
+  /// the active segment handle) excludes Sync via an internal mutex, and a
+  /// full segment is fsync'd before being closed so rotation never
+  /// abandons unsynced records. Once any fsync of the store has failed,
+  /// refuses with kInternal until the store is reopened.
   Status AppendUnsynced(const std::vector<ViewUpdate>& updates)
       RELVIEW_EXCLUDES(commit_sync_mu_);
 
   /// Fsyncs the active segment, making every previously appended record
-  /// durable — the group-commit leader's half. May be called from any
+  /// durable — the commit leader's half. May be called from any
   /// thread; serialized internally against rotation and other Sync calls.
   /// Skips the fsync entirely when nothing was appended since the last
   /// Sync. A failed fsync poisons the underlying journal (see
   /// Journal::Sync); the store must be reopened to continue.
   /// Failpoints: "commit.crash_before_sync" / "commit.crash_after_sync"
-  /// (crash-armed, for the sharded torture test) plus Journal::Sync's
+  /// (crash-armed, for the torture tests) plus Journal::Sync's
   /// "commit.fsync".
   Status Sync() RELVIEW_EXCLUDES(commit_sync_mu_);
 
@@ -149,11 +148,10 @@ class DurableStore {
 
   // The counter accessors below are safe from any thread: the fields are
   // relaxed atomics, mutated only by the single writer (the service
-  // serializes Append / WriteCheckpoint behind its writer mutex) but read
-  // lock-free by telemetry scrapes. A scrape may observe a mid-batch
-  // combination (e.g. seq_ advanced, segment count not yet), which is fine
-  // for monitoring; everything else on this class needs the external
-  // writer serialization documented above.
+  // serializes AppendUnsynced / WriteCheckpoint behind its writer mutex)
+  // but read lock-free by telemetry scrapes. A scrape may observe a
+  // mid-batch combination (e.g. seq_ advanced, segment count not yet),
+  // which is fine for monitoring.
 
   /// Accepted records since the seed (checkpointed + journaled).
   uint64_t seq() const { return seq_.load(std::memory_order_relaxed); }
@@ -178,7 +176,7 @@ class DurableStore {
     return segment_count_.load(std::memory_order_relaxed);
   }
   /// Journal bytes staged by AppendUnsynced that no leader fsync has
-  /// covered yet — the crash-loss exposure of the group-commit window,
+  /// covered yet — the crash-loss exposure of the commit window,
   /// exported per shard as relview_journal_unsynced_bytes. A relaxed
   /// mirror of the active segment's own counter, maintained here because
   /// the active Journal handle is swapped during rotation and scrapes
@@ -208,6 +206,8 @@ class DurableStore {
   DurableStore() = default;
 
   Status Recover(ViewTranslator* translator);
+  /// Fsyncs the active segment; a failure sets fsync_failed_.
+  Status SyncActive() RELVIEW_REQUIRES(commit_sync_mu_);
   Status OpenActiveSegment();
   Status Compact();
   std::string SegmentPath(uint64_t first_seq) const;
@@ -233,6 +233,10 @@ class DurableStore {
   /// Sequence number known fsync'd: Sync() skips the syscall when no
   /// record was appended since the last one.
   uint64_t synced_through_ RELVIEW_GUARDED_BY(commit_sync_mu_) = 0;
+  /// Set by a failed fsync (a leader's Sync or a rotation's): dirty pages
+  /// may be gone, so every later append is refused until reopen. Atomic
+  /// so the appender can check it without commit_sync_mu_.
+  std::atomic<bool> fsync_failed_{false};
   // Writer-mutated, scrape-read counters; see the accessor comment above.
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> unsynced_bytes_{0};  // see unsynced_bytes()

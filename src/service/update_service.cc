@@ -21,35 +21,16 @@ Result<std::unique_ptr<UpdateService>> UpdateService::Create(
     return Status::FailedPrecondition(
         "UpdateService needs a translator bound to a database");
   }
-  if (!options.journal_path.empty() && !options.store.dir.empty()) {
-    return Status::InvalidArgument(
-        "ServiceOptions: journal_path and store.dir are mutually "
-        "exclusive");
-  }
-  if (options.group_commit && options.store.dir.empty()) {
-    return Status::InvalidArgument(
-        "ServiceOptions: group_commit requires the durable store "
-        "(store.dir) — the legacy single-file journal has no deferred-"
-        "fsync path");
-  }
-  uint64_t replayed = 0;
-  std::optional<Journal> journal;
   std::unique_ptr<DurableStore> store;
   if (!options.store.dir.empty()) {
     RELVIEW_ASSIGN_OR_RETURN(store,
                              DurableStore::Open(options.store, &translator));
-    replayed = store->recovery().replayed;
-  } else if (!options.journal_path.empty()) {
-    RELVIEW_ASSIGN_OR_RETURN(
-        JournalReadResult recovered,
-        Journal::Replay(options.journal_path, &translator));
-    replayed = recovered.updates.size();
-    RELVIEW_ASSIGN_OR_RETURN(Journal j, Journal::Open(options.journal_path));
-    journal = std::move(j);
   }
-  std::unique_ptr<UpdateService> service(new UpdateService(
-      std::move(translator), std::move(journal), std::move(store),
-      options.group_commit, options.group_window_us, options.commit_stall_ms));
+  const uint64_t replayed =
+      store != nullptr ? store->recovery().replayed : 0;
+  std::unique_ptr<UpdateService> service(
+      new UpdateService(std::move(translator), std::move(store),
+                        options.group_window_us, options.commit_stall_ms));
   for (uint64_t i = 0; i < replayed; ++i) {
     service->metrics_.RecordReplayedUpdate();
   }
@@ -64,25 +45,23 @@ uint64_t NextServiceId() {
 }  // namespace
 
 UpdateService::UpdateService(ViewTranslator translator,
-                             std::optional<Journal> journal,
                              std::unique_ptr<DurableStore> store,
-                             bool group_commit, uint32_t group_window_us,
+                             uint32_t group_window_us,
                              uint32_t commit_stall_ms)
     : translator_(std::move(translator)),
-      journal_(std::move(journal)),
       store_(std::move(store)),
-      group_commit_(group_commit),
       group_window_us_(group_window_us),
-      group_store_(group_commit ? store_.get() : nullptr),
       commit_stall_ms_(commit_stall_ms),
       universe_(translator_.universe()),
       view_attrs_(translator_.view()),
       complement_attrs_(translator_.complement()),
       service_id_(NextServiceId()) {
-  // No concurrent access is possible yet, but Publish requires the writer
-  // capability, so take it (uncontended) rather than suppress the analysis.
+  // No concurrent access is possible yet, but building the seed snapshot
+  // requires the writer capability, so take it (uncontended) rather than
+  // suppress the analysis.
   MutexLock writer(writer_mu_);
-  Publish(0);
+  WriterMutexLock lock(snapshot_mu_);
+  snapshot_ = BuildSnapshotLocked(0);
 }
 
 ViewSnapshot UpdateService::Snapshot() const {
@@ -266,84 +245,24 @@ BatchResult UpdateService::ApplyBatch(const std::vector<ViewUpdate>& updates) {
 
   PendingGuard pending(pending_writers_);
 
-  if (group_commit_) return ApplyBatchGrouped(updates);
-
-  MutexLock writer(writer_mu_);
-
-  // The translator applies updates in place (keeping the engine's caches
-  // warm), so save the committed relation first: one rejection reinstalls
-  // it and the batch leaves no trace. Published snapshots hold their own
-  // shared_ptrs and are untouched either way.
-  Relation saved = translator_.database();
-  bool mutated = false;
-  Timer stage_timer;
-  for (size_t i = 0; i < updates.size(); ++i) {
-    Status st = StageOne(updates[i], static_cast<int>(i), &result.detail,
-                         &mutated);
-    if (!st.ok()) {
-      if (mutated) translator_.InstallDatabase(std::move(saved));
-      metrics_.RecordBatchRolledBack();
-      result.status = std::move(st);
-      result.failed_index = static_cast<int>(i);
-      result.timings.stage_nanos = stage_timer.ElapsedNanos();
-      return result;
-    }
-  }
-  result.timings.stage_nanos = stage_timer.ElapsedNanos();
-
-  // Write-ahead: the batch is durable before it becomes visible.
-  RELVIEW_FAILPOINT("service.crash_before_journal");  // crash-armed only
-  if (store_ != nullptr || journal_.has_value()) {
-    Timer append_timer;
-    Status st = store_ != nullptr ? store_->Append(updates)
-                                  : journal_->AppendAll(updates);
-    result.timings.append_nanos = append_timer.ElapsedNanos();
-    if (!st.ok()) {
-      if (mutated) translator_.InstallDatabase(std::move(saved));
-      metrics_.RecordBatchRolledBack();
-      result.status = std::move(st);
-      result.detail = "journal append failed; batch rolled back";
-      return result;
-    }
-  }
-  RELVIEW_FAILPOINT("service.crash_before_publish");  // crash-armed only
-
-  metrics_.RecordBatchCommitted();
-  Publish(++version_);
-  metrics_.SetEngineGauges(translator_.engine_stats());
-
-  // Checkpoint cadence: once the replay debt crosses the configured
-  // threshold, snapshot the committed state and compact. A checkpoint
-  // failure never fails the batch — it is already durable in the journal;
-  // the debt simply keeps accruing until a checkpoint succeeds.
-  if (store_ != nullptr && store_->options().checkpoint_every > 0 &&
-      store_->compaction_lag() >= store_->options().checkpoint_every) {
-    Result<uint64_t> ckpt = CheckpointLocked();
-    if (!ckpt.ok()) {
-      std::fprintf(stderr, "relview: auto-checkpoint failed: %s\n",
-                   ckpt.status().ToString().c_str());
-    }
-  }
-  return result;
-}
-
-BatchResult UpdateService::ApplyBatchGrouped(
-    const std::vector<ViewUpdate>& updates) {
-  BatchResult result;
-  uint64_t my_target = 0;
+  uint64_t target = 0;  // store sequence number the cohort fsync must cover
   std::shared_ptr<const ViewSnapshot> snap;
   {
     MutexLock writer(writer_mu_);
-    // Fail fast once the commit path is poisoned: staging more work would
-    // only apply in-memory state that can never be made durable.
+    // Fail fast once a failed fsync poisoned the commit path: staging more
+    // work would only apply in-memory state that can never be made durable.
     {
       MutexLock commit(commit_mu_);
       if (!commit_poison_.ok()) {
         result.status = commit_poison_;
-        result.detail = "group commit poisoned by an earlier fsync failure";
+        result.detail = "commit path poisoned by an earlier fsync failure";
         return result;
       }
     }
+    // The translator applies updates in place (keeping the engine's caches
+    // warm), so save the committed relation first: one rejection reinstalls
+    // it and the batch leaves no trace. Published snapshots hold their own
+    // shared_ptrs and are untouched either way.
     Relation saved = translator_.database();
     bool mutated = false;
     Timer stage_timer;
@@ -360,35 +279,34 @@ BatchResult UpdateService::ApplyBatchGrouped(
       }
     }
     result.timings.stage_nanos = stage_timer.ElapsedNanos();
-    // Stage the records in the journal WITHOUT fsyncing: durability is
-    // the commit leader's job (AwaitDurable below). A failed append rolls
-    // this batch — and only this batch — off the file (Journal's
-    // RollBackTo truncates back to the batch's own start offset, so
-    // earlier unsynced batches are untouched).
-    RELVIEW_FAILPOINT("commit.crash_before_append");  // crash-armed only
-    Timer append_timer;
-    Status st = group_store_->AppendUnsynced(updates);
-    result.timings.append_nanos = append_timer.ElapsedNanos();
-    if (!st.ok()) {
-      if (mutated) translator_.InstallDatabase(std::move(saved));
-      metrics_.RecordBatchRolledBack();
-      result.status = std::move(st);
-      result.detail = "journal append failed; batch rolled back";
-      return result;
+
+    if (store_ != nullptr) {
+      // Append WITHOUT fsyncing: durability is the commit leader's job
+      // (AwaitDurable below). A failed append rolls this batch — and only
+      // this batch — off the file and out of memory.
+      RELVIEW_FAILPOINT("commit.crash_before_append");  // crash-armed only
+      Timer append_timer;
+      Status st = store_->AppendUnsynced(updates);
+      result.timings.append_nanos = append_timer.ElapsedNanos();
+      if (!st.ok()) {
+        if (mutated) translator_.InstallDatabase(std::move(saved));
+        metrics_.RecordBatchRolledBack();
+        result.status = std::move(st);
+        result.detail = "journal append failed; batch rolled back";
+        return result;
+      }
+      target = store_->seq();
     }
-    my_target = group_store_->seq();
     snap = BuildSnapshotLocked(++version_);
     metrics_.SetEngineGauges(translator_.engine_stats());
 
-    // Checkpoint cadence, evaluated at stage time exactly like the
-    // fsync-per-batch path. The checkpoint may cover records whose fsync
-    // has not happened yet; that is safe — the checkpoint file is itself
-    // durable before it counts, closed segments are fsync'd before
-    // rotation, and recovering "too much" never violates the
-    // acked ⊆ recovered contract (see DESIGN.md §13).
-    if (group_store_->options().checkpoint_every > 0 &&
-        group_store_->compaction_lag() >=
-            group_store_->options().checkpoint_every) {
+    // Checkpoint cadence: once the replay debt crosses the configured
+    // threshold, snapshot the state and compact. The checkpoint may cover
+    // records no fsync has covered yet (DESIGN.md §10). A checkpoint
+    // failure never fails the batch — its records are in the journal; the
+    // debt simply keeps accruing until a checkpoint succeeds.
+    if (store_ != nullptr && store_->options().checkpoint_every > 0 &&
+        store_->compaction_lag() >= store_->options().checkpoint_every) {
       Result<uint64_t> ckpt = CheckpointLocked();
       if (!ckpt.ok()) {
         std::fprintf(stderr, "relview: auto-checkpoint failed: %s\n",
@@ -397,15 +315,17 @@ BatchResult UpdateService::ApplyBatchGrouped(
     }
   }  // writer_mu_ released: the next batch stages while we await the fsync
 
-  Status durable = AwaitDurable(my_target, &result.timings);
-  if (!durable.ok()) {
-    // The batch is applied in memory and its bytes may or may not reach
-    // disk, but the caller is NOT acked — under acked ⊆ recovered that is
-    // a correct (if unhappy) outcome. The poisoned store refuses all
-    // further writes until reopened.
-    result.status = std::move(durable);
-    result.detail = "group commit fsync failed; batch not acknowledged";
-    return result;
+  if (store_ != nullptr) {
+    Status durable = AwaitDurable(target, &result.timings);
+    if (!durable.ok()) {
+      // The batch is applied in memory and its bytes may or may not reach
+      // disk, but the caller is NOT acked — under acked ⊆ recovered that
+      // is a correct (if unhappy) outcome. The poisoned commit path
+      // refuses all further writes until the store is reopened.
+      result.status = std::move(durable);
+      result.detail = "cohort fsync failed; batch not acknowledged";
+      return result;
+    }
   }
   metrics_.RecordBatchCommitted();
   PublishIfNewer(std::move(snap));
@@ -441,16 +361,17 @@ Status UpdateService::AwaitDurable(uint64_t target, BatchTimings* timings) {
   commit_pending_gauge_.store(commit_pending_batches_,
                               std::memory_order_relaxed);
   while (true) {
+    // Covered by a successful fsync: durable, whatever failed after it.
+    if (commit_synced_ >= target) {
+      commit_mu_.unlock();
+      timings->commit_wait_nanos = wait_timer.ElapsedNanos();
+      return Status::OK();
+    }
     if (!commit_poison_.ok()) {
       Status st = commit_poison_;
       commit_mu_.unlock();
       timings->commit_wait_nanos = wait_timer.ElapsedNanos();
       return st;
-    }
-    if (commit_synced_ >= target) {
-      commit_mu_.unlock();
-      timings->commit_wait_nanos = wait_timer.ElapsedNanos();
-      return Status::OK();
     }
     if (commit_leader_active_) {
       // A leader's fsync is in flight; it (or a successor) will cover us.
@@ -507,7 +428,7 @@ Status UpdateService::AwaitDurable(uint64_t target, BatchTimings* timings) {
     commit_pending_gauge_.store(0, std::memory_order_relaxed);
     commit_mu_.unlock();
     fsync_span.AddArg("cohort_batches", cohort_batches);
-    Status st = group_store_->Sync();  // the one fsync for the whole cohort
+    Status st = store_->Sync();  // the one fsync for the whole cohort
     fsync_span.Finish();
     const int64_t led_nanos = lead_timer.ElapsedNanos();
     commit_mu_.lock();
@@ -618,19 +539,6 @@ std::vector<MetricFamily> TagFamilies(std::vector<MetricFamily> families,
 void UpdateService::RegisterTelemetry(TelemetryRegistry* registry,
                                       const std::string& section,
                                       int shard) const {
-  // Snapshot the construction-time plumbing once, under the writer mutex,
-  // so the scrape lambdas below never touch writer-guarded members: the
-  // store pointer and the fsync histograms are fixed at Create time, and
-  // every value the lambdas read through them is a relaxed atomic.
-  const DurableStore* store = nullptr;
-  std::shared_ptr<const LatencyHistogram> journal_fsync;
-  std::shared_ptr<const LatencyHistogram> store_fsync;
-  {
-    MutexLock writer(writer_mu_);
-    store = store_.get();
-    if (journal_.has_value()) journal_fsync = journal_->fsync_latency();
-    if (store != nullptr) store_fsync = store->fsync_latency();
-  }
   // Registration key and sample labels: `section` alone for a standalone
   // service, plus a `_shard_<n>` key suffix and a `shard="<n>"` sample
   // label for one shard of a sharded service.
@@ -644,15 +552,14 @@ void UpdateService::RegisterTelemetry(TelemetryRegistry* registry,
                       : tag.substr(0, tag.size() - 1) + "," +
                             shard_tag.substr(1);
   }
-  registry->Register(key, [this, tag, store, journal_fsync, store_fsync] {
+  registry->Register(key, [this, tag] {
     // The whole counter walk runs under the metrics seqlock so the
     // families in one scrape are mutually consistent (kind/code rejection
-    // totals agree; engine gauges are one snapshot). The fsync histograms
+    // totals agree; engine gauges are one snapshot). The fsync histogram
     // and store counters are independent relaxed atomics — approximate by
     // design — but reading them inside costs nothing.
-    auto families = metrics_.ReadConsistent([&] {
-      return CollectFamilies(store, journal_fsync.get(), store_fsync.get());
-    });
+    auto families =
+        metrics_.ReadConsistent([&] { return CollectFamilies(); });
     // The default section keeps its historic un-labelled exposition.
     return tag.empty() ? families : TagFamilies(std::move(families), tag);
   });
@@ -668,9 +575,7 @@ void UpdateService::RegisterTelemetry(TelemetryRegistry* registry,
       });
 }
 
-std::vector<MetricFamily> UpdateService::CollectFamilies(
-  const DurableStore* store, const LatencyHistogram* journal_fsync,
-  const LatencyHistogram* store_fsync) const {
+std::vector<MetricFamily> UpdateService::CollectFamilies() const {
   std::vector<MetricFamily> out;
   MetricFamily accepted = CounterFamily(
       "relview_updates_accepted_total", "Accepted view updates by kind", 0);
@@ -758,17 +663,10 @@ std::vector<MetricFamily> UpdateService::CollectFamilies(
       "cohort (pending-cohort depth)",
       static_cast<double>(
           commit_pending_gauge_.load(std::memory_order_relaxed))));
-  if (journal_fsync != nullptr) {
-    out.push_back(SummaryFamily("relview_journal_fsync_seconds",
-                                "Journal fsync latency", *journal_fsync));
-    out.push_back(CounterFamily(
-        "relview_journal_fsyncs_total", "Successful journal fsyncs",
-        static_cast<double>(journal_fsync->count())));
-  }
-  if (store != nullptr) {
+  if (const DurableStore* store = store_.get()) {
     out.push_back(SummaryFamily("relview_journal_fsync_seconds",
                                 "Journal fsync latency (all segments)",
-                                *store_fsync));
+                                *store->fsync_latency()));
     out.push_back(CounterFamily(
         "relview_journal_fsyncs_total", "Successful journal fsyncs",
         static_cast<double>(store->fsyncs())));
@@ -807,17 +705,6 @@ std::vector<MetricFamily> UpdateService::CollectFamilies(
       "Writers inside ApplyBatch (running or queued on the writer mutex)",
       static_cast<double>(pending_writers())));
   return out;
-}
-
-void UpdateService::Publish(uint64_t version) {
-  RELVIEW_TRACE_SPAN("svc.publish");
-  std::shared_ptr<const ViewSnapshot> snap = BuildSnapshotLocked(version);
-  {
-    WriterMutexLock lock(snapshot_mu_);
-    snapshot_ = std::move(snap);
-  }
-  // Open the readers' fast-path gate only after the pointer is in place.
-  published_version_.store(version, std::memory_order_release);
 }
 
 }  // namespace relview

@@ -18,21 +18,23 @@
 /// Batches are all-or-nothing: if any update in the batch is rejected, the
 /// staged copy is discarded, the committed state is untouched, and the
 /// BatchResult reports which update failed and why (the Theorem 3/8/9
-/// verdict). On success the batch is journaled (fsync'd) *before* the new
-/// state is published — see journal.h for why replay is sound.
+/// verdict). Every batch takes one commit path (ApplyBatch): stage under
+/// the writer mutex, append to the journal without an fsync, release the
+/// mutex, wait until a commit leader's fsync covers the batch (group
+/// commit), then acknowledge and publish. A durable batch is therefore
+/// fsync'd *before* it becomes visible — see journal.h for why replay is
+/// sound. A service without a store skips the append and the wait.
 
 #ifndef RELVIEW_SERVICE_UPDATE_SERVICE_H_
 #define RELVIEW_SERVICE_UPDATE_SERVICE_H_
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/provenance.h"
 #include "obs/telemetry.h"
-#include "service/journal.h"
 #include "service/metrics.h"
 #include "service/recovery.h"
 #include "service/update.h"
@@ -57,13 +59,13 @@ struct ViewSnapshot {
 /// event (obs/wide_event.h) reads one struct regardless of topology.
 struct BatchTimings {
   int64_t stage_nanos = 0;     ///< Translatability checks + staging.
-  int64_t append_nanos = 0;    ///< Journal append (fsync excluded when
-                               ///< group commit defers it).
+  int64_t append_nanos = 0;    ///< Journal append (write only, no fsync).
   int64_t commit_wait_nanos = 0;  ///< Waiting for / running the cohort
-                                  ///< fsync (or the inline fsync's share
-                                  ///< of append on the non-grouped path).
-  uint64_t cohort_batches = 0;  ///< Cohort size this batch rode in
-                                ///< (0 = no group commit involved).
+                                  ///< fsync that covers this batch (0
+                                  ///< without a store).
+  uint64_t cohort_batches = 0;  ///< Cohort size this batch's leader fsync
+                                ///< covered (0 when it rode another
+                                ///< leader's fsync or has no store).
   bool led_cohort = false;      ///< This thread ran the cohort fsync.
   // Fan-out attribution, filled by ShardedService::ApplyBatch:
   uint64_t shard_mask = 0;   ///< Bit i set = shard i received updates.
@@ -89,30 +91,16 @@ struct BatchResult {
 
 /// Persistence configuration for UpdateService::Create.
 struct ServiceOptions {
-  /// When non-empty, accepted updates are write-ahead journaled here and
-  /// any existing records are replayed against the seed state on Create.
-  /// Legacy single-file mode: no rotation, no checkpoints; prefer
-  /// `store.dir` for anything long-running.
-  std::string journal_path;
   /// When store.dir is non-empty, the service persists through a
-  /// DurableStore instead: rotated journal segments plus periodic
-  /// checkpoints, recovered on Create as newest-valid-checkpoint +
-  /// journal-suffix replay. Mutually exclusive with journal_path.
+  /// DurableStore: rotated journal segments plus periodic checkpoints,
+  /// recovered on Create as newest-valid-checkpoint + journal-suffix
+  /// replay. Empty runs in memory.
   StoreOptions store;
-  /// Cross-batch group commit (requires store.dir): concurrent ApplyBatch
-  /// callers stage and append under the writer mutex but defer the fsync
-  /// to a commit *leader* — the first waiter to find no leader active
-  /// fsyncs once for every batch appended so far and wakes the whole
-  /// cohort. Each caller is still acknowledged only after its own records
-  /// are durable; what changes is that one fsync can cover many batches
-  /// (fsyncs/batch < 1 under concurrency). With a single writer thread the
-  /// path degenerates to fsync-per-batch, same as the default.
-  bool group_commit = false;
   /// Optional leader gathering window in microseconds: before sampling
-  /// its cohort the leader sleeps this long so more concurrent batches
-  /// can append behind it. 0 (default) syncs immediately — concurrency
-  /// alone already forms cohorts because appends accumulate while the
-  /// previous leader's fsync is in flight.
+  /// its cohort the commit leader sleeps this long so more concurrent
+  /// batches can append behind it. 0 (default) syncs immediately —
+  /// concurrency alone already forms cohorts because appends accumulate
+  /// while the previous leader's fsync is in flight.
   uint32_t group_window_us = 0;
   /// Group-commit stall watchdog: when > 0, a waiter stuck behind an
   /// active leader for longer than this deadline (a hung fsync, a leader
@@ -123,13 +111,14 @@ struct ServiceOptions {
 };
 
 /// The serving layer: a single-writer/multi-reader facade over a bound
-/// ViewTranslator with versioned snapshots, write-ahead journaling and
-/// (with `ServiceOptions::store`) checkpointed crash recovery.
+/// ViewTranslator with versioned snapshots and (with
+/// `ServiceOptions::store`) write-ahead journaling, group commit and
+/// checkpointed crash recovery.
 class UpdateService {
  public:
-  /// Wraps a bound translator. When options name a journal, existing
-  /// records are replayed first (recovering a previous incarnation's
-  /// state) and the journal is opened for appending.
+  /// Wraps a bound translator. With a store, the store recovers first
+  /// (newest checkpoint plus the journal suffix past it, replayed into the
+  /// translator) and stays open for appending.
   static Result<std::unique_ptr<UpdateService>> Create(
       ViewTranslator translator, ServiceOptions options = {});
 
@@ -146,10 +135,13 @@ class UpdateService {
   Status Apply(const ViewUpdate& update) RELVIEW_EXCLUDES(writer_mu_);
 
   /// Applies a batch atomically. All updates validate and translate on a
-  /// staged copy; one rejection rolls the whole batch back. A committed
-  /// batch advances the version by exactly 1. On rejection the returned
-  /// status carries the batch position (Status::batch_index()), matching
-  /// BatchResult::failed_index.
+  /// staged copy; one rejection rolls the whole batch back and never
+  /// reaches the journal. A committed batch advances the version by
+  /// exactly 1 and is acknowledged only once a cohort fsync covers it. On
+  /// rejection the returned status carries the batch position
+  /// (Status::batch_index()), matching BatchResult::failed_index. A failed
+  /// fsync fails the batch unacknowledged and every later batch with the
+  /// same status: the store must be reopened (see AwaitDurable).
   BatchResult ApplyBatch(const std::vector<ViewUpdate>& updates)
       RELVIEW_EXCLUDES(writer_mu_);
 
@@ -160,16 +152,16 @@ class UpdateService {
   /// number.
   Result<uint64_t> Checkpoint() RELVIEW_EXCLUDES(writer_mu_);
 
-  /// The durable store backing this service, or null when running
-  /// un-journaled / with the legacy single-file journal. Exposes recovery
-  /// info, sequence numbers and compaction counters.
+  /// The durable store backing this service, or null when running in
+  /// memory. Exposes recovery info, sequence numbers and compaction
+  /// counters.
   const DurableStore* store() const { return store_.get(); }
 
   /// Accept/reject counters and latency histograms for this service.
   const ServiceMetrics& metrics() const { return metrics_; }
 
-  /// Writers currently inside ApplyBatch — running or queued on the
-  /// writer mutex (journal fsync time included). The network front-end's
+  /// Writers currently inside ApplyBatch — running, queued on the writer
+  /// mutex, or waiting for their cohort fsync. The network front-end's
   /// admission gate bounds this from the socket side; the gauge exposes
   /// the same queue depth as the service itself sees it.
   int pending_writers() const {
@@ -197,9 +189,9 @@ class UpdateService {
   /// `service="..."` labels).
   void RegisterTelemetry(TelemetryRegistry* registry,
                          const std::string& section = "service",
-                         int shard = -1) const RELVIEW_EXCLUDES(writer_mu_);
+                         int shard = -1) const;
 
-  /// Number of journal records replayed during Create (0 without journal).
+  /// Number of journal records replayed during Create (0 without a store).
   uint64_t replayed_updates() const { return metrics_.replayed(); }
 
   /// The attribute universe U (immutable after Create).
@@ -210,19 +202,12 @@ class UpdateService {
   const AttrSet& complement_attrs() const { return complement_attrs_; }
 
  private:
-  UpdateService(ViewTranslator translator, std::optional<Journal> journal,
-                std::unique_ptr<DurableStore> store, bool group_commit,
-                uint32_t group_window_us, uint32_t commit_stall_ms);
+  UpdateService(ViewTranslator translator,
+                std::unique_ptr<DurableStore> store, uint32_t group_window_us,
+                uint32_t commit_stall_ms);
 
   /// Checkpoint body; caller holds writer_mu_.
   Result<uint64_t> CheckpointLocked() RELVIEW_REQUIRES(writer_mu_);
-
-  /// The group-commit write path (see ServiceOptions::group_commit):
-  /// stage + append-without-fsync under writer_mu_, then wait in
-  /// AwaitDurable until a leader fsync covers this batch's records, and
-  /// only then count the commit and publish the pre-built snapshot.
-  BatchResult ApplyBatchGrouped(const std::vector<ViewUpdate>& updates)
-      RELVIEW_EXCLUDES(writer_mu_, commit_mu_);
 
   /// Blocks until every store record up to `target` is fsync'd (returns
   /// OK), electing this thread as commit leader whenever none is active:
@@ -244,18 +229,17 @@ class UpdateService {
   std::shared_ptr<const ViewSnapshot> BuildSnapshotLocked(uint64_t version)
       RELVIEW_REQUIRES(writer_mu_);
 
-  /// Installs `snap` unless a newer version is already published. Used by
-  /// the group-commit path, where acked waiters can reach the publish
-  /// step out of version order; snapshots are cumulative (each holds the
-  /// full database), so installing only the newest is correct.
+  /// Installs `snap` unless a newer version is already published. Writers
+  /// publish after releasing writer_mu_ (and after their cohort fsync), so
+  /// they can reach this step out of version order; snapshots are
+  /// cumulative (each holds the full database), so installing only the
+  /// newest is correct.
   void PublishIfNewer(std::shared_ptr<const ViewSnapshot> snap)
       RELVIEW_EXCLUDES(snapshot_mu_);
 
   /// Builds the Prometheus families for RegisterTelemetry's collector.
   /// Runs inside the metrics seqlock read protocol; pure reads only.
-  std::vector<MetricFamily> CollectFamilies(
-      const DurableStore* store, const LatencyHistogram* journal_fsync,
-      const LatencyHistogram* store_fsync) const;
+  std::vector<MetricFamily> CollectFamilies() const;
 
   /// Checks `u` and, when translatable, applies it to the translator in
   /// place (maintaining the engine's caches). Records metrics and pushes a
@@ -265,31 +249,21 @@ class UpdateService {
   Status StageOne(const ViewUpdate& u, int batch_index, std::string* detail,
                   bool* mutated) RELVIEW_REQUIRES(writer_mu_);
 
-  void Publish(uint64_t version) RELVIEW_REQUIRES(writer_mu_)
-      RELVIEW_EXCLUDES(snapshot_mu_);
-
   // Writer-side authoritative state; mutated only under writer_mu_.
   mutable Mutex writer_mu_;
   ViewTranslator translator_ RELVIEW_GUARDED_BY(writer_mu_);
-  std::optional<Journal> journal_ RELVIEW_GUARDED_BY(writer_mu_);
-  // The pointer itself is fixed at construction (store() hands it out
-  // lock-free); the *pointee's* mutating operations are writer-serialized.
-  // Its counter accessors are relaxed atomics, safe from any thread — the
-  // telemetry lambdas read them through a pointer copied out under the
-  // lock in RegisterTelemetry.
-  std::unique_ptr<DurableStore> store_ RELVIEW_PT_GUARDED_BY(writer_mu_);
+  /// Fixed at construction (store() hands it out lock-free). Its writer
+  /// half (AppendUnsynced, WriteCheckpoint) is called only under
+  /// writer_mu_; Sync() and the counter accessors are thread-safe, which
+  /// is what lets the commit leader fsync without writer_mu_.
+  const std::unique_ptr<DurableStore> store_;
   uint64_t version_ RELVIEW_GUARDED_BY(writer_mu_) = 0;
 
-  // Group-commit coordination (ApplyBatchGrouped / AwaitDurable). The
-  // commit mutex is taken only with writer_mu_ *released* — writers stage
-  // under writer_mu_, drop it, then coordinate durability here, which is
-  // what lets batch K+1 stage while batch K's fsync is in flight.
-  const bool group_commit_;
+  // Group-commit coordination (AwaitDurable). The commit mutex is taken
+  // only with writer_mu_ *released* — writers stage under writer_mu_,
+  // drop it, then coordinate durability here, which is what lets batch
+  // K+1 stage while batch K's fsync is in flight.
   const uint32_t group_window_us_;
-  /// Raw pointer to *store_, fixed at construction: the commit leader
-  /// fsyncs through it without writer_mu_ (DurableStore::Sync is
-  /// internally synchronized). Null unless group_commit_ is set.
-  DurableStore* const group_store_;
   mutable Mutex commit_mu_ RELVIEW_ACQUIRED_AFTER(writer_mu_);
   mutable CondVar commit_cv_;
   /// Highest store sequence number any waiter has appended (the next
@@ -329,8 +303,8 @@ class UpdateService {
   // published_version_ is the lock-free fast-path gate: readers re-take
   // the shared lock only when the version actually changed (see
   // Snapshot()), so a reader herd neither serializes on the rwlock word
-  // nor starves the writer's exclusive acquisition. Publish runs with
-  // writer_mu_ held and briefly takes snapshot_mu_, never the reverse.
+  // nor starves the writer's exclusive acquisition. snapshot_mu_ is never
+  // held while taking writer_mu_.
   mutable SharedMutex snapshot_mu_ RELVIEW_ACQUIRED_AFTER(writer_mu_);
   std::shared_ptr<const ViewSnapshot> snapshot_ RELVIEW_GUARDED_BY(snapshot_mu_);
   std::atomic<uint64_t> published_version_{0};
@@ -338,8 +312,8 @@ class UpdateService {
 
   mutable ServiceMetrics metrics_;
   DecisionLog decisions_;
-  /// Writers inside ApplyBatch (running or parked on writer_mu_); see
-  /// pending_writers().
+  /// Writers inside ApplyBatch (running, parked on writer_mu_ or awaiting
+  /// their cohort fsync); see pending_writers().
   std::atomic<int> pending_writers_{0};
 };
 

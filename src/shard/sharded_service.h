@@ -7,9 +7,8 @@
 /// (original positions remembered for error reporting) and applied shard
 /// by shard. Each shard keeps the single-writer UpdateService contract
 /// internally, so writers targeting different shards run fully in
-/// parallel — including their journal fsyncs, which the per-shard
-/// group-commit path (ServiceOptions::group_commit) additionally
-/// amortizes across concurrent batches on the same shard.
+/// parallel — including their journal fsyncs, which each shard's group
+/// commit additionally amortizes across concurrent batches on that shard.
 ///
 /// Semantics relative to the unsharded service (all deliberate, all
 /// pinned by tests):
@@ -58,10 +57,6 @@ struct ShardedServiceOptions {
   uint64_t checkpoint_every = 0;
   /// Per-shard segment rotation threshold (0 = store default).
   uint64_t rotate_records = 0;
-  /// Enable the per-shard cross-batch group-commit path (requires
-  /// store_root; silently ignored in-memory since there is no fsync to
-  /// amortize).
-  bool group_commit = false;
   /// Leader gathering window forwarded to ServiceOptions::group_window_us.
   uint32_t group_window_us = 0;
   /// Per-shard group-commit stall watchdog, forwarded to

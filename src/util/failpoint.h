@@ -32,7 +32,7 @@
 // Environment form (RELVIEW_FAILPOINTS): semicolon-separated
 // "name=spec" pairs, e.g.
 //
-//   RELVIEW_FAILPOINTS="journal.fsync=error@3;checkpoint.rename=crash"
+//   RELVIEW_FAILPOINTS="commit.fsync=error@3;checkpoint.rename=crash"
 //
 // Sites (see docs/OPERATIONS.md for the full catalog) call
 // Failpoints::Check("name") on every pass; the returned FailpointHit

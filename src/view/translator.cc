@@ -1,5 +1,7 @@
 #include "view/translator.h"
 
+#include <algorithm>
+
 #include "deps/satisfies.h"
 #include "obs/trace.h"
 #include "util/small_util.h"
@@ -32,6 +34,7 @@ ViewTranslator& ViewTranslator::operator=(const ViewTranslator& other) {
   good_ = other.good_;
   database_ = other.database_;
   engine_.reset();  // caches are per-instance; rebuild lazily
+  retired_stats_ = EngineStats{};  // and so are their counters
   return *this;
 }
 
@@ -66,12 +69,36 @@ Status ViewTranslator::Bind(Relation database) {
   }
   database.Normalize();
   database_ = std::move(database);
-  engine_.reset();
+  DropEngine();
   return Status::OK();
 }
 
 void ViewTranslator::InstallDatabase(Relation database) {
   database_ = std::move(database);
+  DropEngine();
+}
+
+namespace {
+/// Folds `add` into `total`: counters sum, max_component_size takes the
+/// max, and the hit rate is recomputed from the summed hits and misses.
+void FoldEngineStats(const EngineStats& add, EngineStats* total) {
+  const uint64_t max_component =
+      std::max(total->max_component_size, add.max_component_size);
+#define RELVIEW_ENGINE_SUM_FIELD(name) total->name += add.name;
+  RELVIEW_ENGINE_STAT_FIELDS(RELVIEW_ENGINE_SUM_FIELD)
+#undef RELVIEW_ENGINE_SUM_FIELD
+  total->max_component_size = max_component;
+  const uint64_t lookups = total->closure_hits + total->closure_misses;
+  total->closure_hit_rate =
+      lookups == 0 ? 0.0
+                   : static_cast<double>(total->closure_hits) /
+                         static_cast<double>(lookups);
+}
+}  // namespace
+
+void ViewTranslator::DropEngine() {
+  if (engine_ == nullptr) return;
+  FoldEngineStats(engine_->stats(), &retired_stats_);
   engine_.reset();
 }
 
@@ -96,7 +123,9 @@ TranslatabilityEngine* ViewTranslator::EngineOrNull() const {
 }
 
 EngineStats ViewTranslator::engine_stats() const {
-  return engine_ != nullptr ? engine_->stats() : EngineStats{};
+  EngineStats out = retired_stats_;
+  if (engine_ != nullptr) FoldEngineStats(engine_->stats(), &out);
+  return out;
 }
 
 Result<Relation> ViewTranslator::ViewInstance() const {

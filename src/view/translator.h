@@ -143,7 +143,11 @@ class ViewTranslator {
   /// Check-and-apply replacement; status semantics as Insert.
   Status Replace(const Tuple& t1, const Tuple& t2);
 
-  /// Engine counters (zeroed when the engine has not been built).
+  /// Engine counters over this translator's life: Bind and
+  /// InstallDatabase drop the engine, but its counters are folded in
+  /// (summed; max_component_size takes the max), so every value is
+  /// monotone and index_rebuilds counts every rebuild. A copy starts from
+  /// zero.
   EngineStats engine_stats() const;
 
  private:
@@ -154,6 +158,9 @@ class ViewTranslator {
   /// database is bound.
   TranslatabilityEngine* EngineOrNull() const;
 
+  /// Drops the live engine, folding its counters into retired_stats_.
+  void DropEngine();
+
   Universe universe_;
   DependencySet sigma_;
   AttrSet x_;
@@ -162,6 +169,8 @@ class ViewTranslator {
   GoodComplementReport good_;
   std::optional<Relation> database_;
   mutable std::unique_ptr<TranslatabilityEngine> engine_;
+  /// Counters of the engines DropEngine discarded (see engine_stats()).
+  EngineStats retired_stats_;
 };
 
 }  // namespace relview

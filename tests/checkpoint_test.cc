@@ -62,7 +62,8 @@ class CheckpointTest : public ::testing::Test {
   std::string Path(const std::string& name) const { return dir_ + "/" + name; }
 
   /// Applies `u` through the translator and journals it via the store —
-  /// what UpdateService does under its writer mutex.
+  /// what UpdateService does under its writer mutex — then fsyncs it, as
+  /// the commit leader would.
   static void ApplyAndAppend(ViewTranslator* vt, DurableStore* store,
                              const ViewUpdate& u) {
     Status st = u.kind == UpdateKind::kInsert ? vt->Insert(u.t1)
@@ -70,7 +71,8 @@ class CheckpointTest : public ::testing::Test {
                     ? vt->Delete(u.t1)
                     : vt->Replace(u.t1, u.t2);
     ASSERT_TRUE(st.ok()) << u.ToString() << ": " << st.ToString();
-    ASSERT_TRUE(store->Append({u}).ok());
+    ASSERT_TRUE(store->AppendUnsynced({u}).ok());
+    ASSERT_TRUE(store->Sync().ok());
   }
 
   std::string dir_;

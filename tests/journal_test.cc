@@ -1,15 +1,19 @@
-// Journal durability tests: encode/decode round trips, replay equivalence
-// (a replayed journal reproduces exactly the directly-updated database —
-// fact (ii) in action), torn-tail truncation, and divergence detection.
+// Journal durability tests: encode/decode round trips, torn-tail
+// truncation, append rollback and sync poisoning, and — through
+// DurableStore::Open, the one replay path — replay equivalence (a
+// replayed journal reproduces exactly the directly-updated database —
+// fact (ii) in action) and divergence detection.
 
 #include "service/journal.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "service/recovery.h"
 #include "util/failpoint.h"
 #include "view/translator.h"
 
@@ -41,17 +45,35 @@ ViewTranslator MakeTranslator() {
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "journal_test_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".log";
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = ::testing::TempDir() + "journal_test_" + name + ".log";
+    dir_ = ::testing::TempDir() + "journal_test_" + name + ".store";
     std::remove(path_.c_str());
+    std::filesystem::remove_all(dir_);
   }
   void TearDown() override {
     Failpoints::ClearAll();
     std::remove(path_.c_str());
+    std::filesystem::remove_all(dir_);
   }
-  std::string path_;
+
+  /// Opens the durable store under dir_, recovering into `vt`.
+  Result<std::unique_ptr<DurableStore>> OpenStore(ViewTranslator* vt) const {
+    StoreOptions options;
+    options.dir = dir_;
+    return DurableStore::Open(options, vt);
+  }
+
+  std::string path_;  // a standalone journal file
+  std::string dir_;   // a durable store directory
 };
+
+/// Appends `updates` as one batch and makes them durable.
+Status AppendSynced(Journal* j, const std::vector<ViewUpdate>& updates) {
+  RELVIEW_RETURN_IF_ERROR(j->AppendUnsynced(updates));
+  return j->Sync();
+}
 
 TEST_F(JournalTest, PayloadRoundTrip) {
   const ViewUpdate updates[] = {
@@ -85,10 +107,10 @@ TEST_F(JournalTest, AppendThenReadRoundTrip) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
-    ASSERT_TRUE(j->AppendAll({ViewUpdate::Delete(Row({4, 10})),
-                              ViewUpdate::Replace(Row({1, 10}),
-                                                  Row({1, 20}))})
+    ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
+    ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Delete(Row({4, 10})),
+                                   ViewUpdate::Replace(Row({1, 10}),
+                                                       Row({1, 20}))})
                     .ok());
   }
   auto r = Journal::Read(path_);
@@ -116,14 +138,16 @@ TEST_F(JournalTest, ReplayEqualsDirectApplication) {
   ASSERT_TRUE(direct.Replace(updates[3].t1, updates[3].t2).ok());
 
   {
-    auto j = Journal::Open(path_);
-    ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->AppendAll(updates).ok());
+    ViewTranslator seed = MakeTranslator();
+    auto store = OpenStore(&seed);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->AppendUnsynced(updates).ok());
+    ASSERT_TRUE((*store)->Sync().ok());
   }
   ViewTranslator replayed = MakeTranslator();
-  auto r = Journal::Replay(path_, &replayed);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->updates.size(), 4u);
+  auto store = OpenStore(&replayed);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->recovery().replayed, 4u);
   EXPECT_TRUE(replayed.database().SameAs(direct.database()));
 }
 
@@ -131,8 +155,8 @@ TEST_F(JournalTest, TruncatedLastRecordRecoversToLastCompleteRecord) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({5, 20}))).ok());
+    ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
+    ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Insert(Row({5, 20}))}).ok());
   }
   // Simulate a torn write: chop bytes off the final record.
   std::ifstream in(path_, std::ios::binary);
@@ -159,7 +183,7 @@ TEST_F(JournalTest, TruncatedLastRecordRecoversToLastCompleteRecord) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Delete(Row({4, 10}))).ok());
+    ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Delete(Row({4, 10}))}).ok());
   }
   auto final_read = Journal::Read(path_);
   ASSERT_TRUE(final_read.ok());
@@ -171,7 +195,7 @@ TEST_F(JournalTest, CorruptChecksumIsDetected) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
+    ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
   }
   std::ifstream in(path_, std::ios::binary);
   std::string all((std::istreambuf_iterator<char>(in)),
@@ -190,17 +214,21 @@ TEST_F(JournalTest, CorruptChecksumIsDetected) {
 
 TEST_F(JournalTest, ReplayOfInvalidUpdateReturnsInternal) {
   // Journal an update that the seed instance rejects (inserting Emp 1 into
-  // Dept 20 moves an employee: untranslatable). Replay must refuse with
-  // kInternal rather than silently diverge.
+  // Dept 20 moves an employee: untranslatable). The store appends what it
+  // is given; replay on reopen must refuse with kInternal rather than
+  // silently diverge.
   {
-    auto j = Journal::Open(path_);
-    ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({1, 20}))).ok());
+    ViewTranslator seed = MakeTranslator();
+    auto store = OpenStore(&seed);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(
+        (*store)->AppendUnsynced({ViewUpdate::Insert(Row({1, 20}))}).ok());
+    ASSERT_TRUE((*store)->Sync().ok());
   }
   ViewTranslator vt = MakeTranslator();
-  auto r = Journal::Replay(path_, &vt);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  auto store = OpenStore(&vt);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kInternal);
 }
 
 TEST_F(JournalTest, OpenVerifiesFinalRecordChecksum) {
@@ -210,8 +238,8 @@ TEST_F(JournalTest, OpenVerifiesFinalRecordChecksum) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({5, 20}))).ok());
+    ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
+    ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Insert(Row({5, 20}))}).ok());
   }
   // Flip a payload bit of the *final* record, keeping it "complete"
   // (newline-terminated, correct length) — only the checksum can tell.
@@ -235,7 +263,7 @@ TEST_F(JournalTest, OpenVerifiesFinalRecordChecksum) {
   EXPECT_TRUE(r->truncated);
   auto again = Journal::Open(path_);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  ASSERT_TRUE(again->Append(ViewUpdate::Delete(Row({4, 10}))).ok());
+  ASSERT_TRUE(AppendSynced(&*again, {ViewUpdate::Delete(Row({4, 10}))}).ok());
   auto final_read = Journal::Read(path_);
   ASSERT_TRUE(final_read.ok());
   EXPECT_FALSE(final_read->truncated);
@@ -246,7 +274,7 @@ TEST_F(JournalTest, OpenRefusesTornTail) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
+    ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
   }
   std::ofstream out(path_, std::ios::binary | std::ios::app);
   out << "rv1 57 0123456789abcdef I 2 torn";  // no terminator
@@ -263,34 +291,32 @@ TEST_F(JournalTest, OpenRefusesTornTail) {
   EXPECT_TRUE(Journal::Open(path_).ok());
 }
 
-TEST_F(JournalTest, FailpointFsyncErrorMidBatchFailsAppend) {
-  // fsync reports EIO on the *second* batch. The first lands durably; the
-  // second fails, leaving the service free to roll back.
-  ASSERT_TRUE(Failpoints::Set("journal.fsync", "error@2").ok());
+TEST_F(JournalTest, FailedSyncPoisonsHandle) {
+  // A failed fsync may have dropped the dirty pages, so neither a retry
+  // nor a later append may pretend otherwise (fsyncgate): the handle
+  // refuses both until the journal is reopened.
   auto j = Journal::Open(path_);
   ASSERT_TRUE(j.ok());
-  ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
-  Status st = j->AppendAll({ViewUpdate::Insert(Row({5, 20})),
-                            ViewUpdate::Insert(Row({6, 10}))});
+  ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
+  ASSERT_TRUE(j->AppendUnsynced({ViewUpdate::Insert(Row({5, 20}))}).ok());
+  ASSERT_TRUE(Failpoints::Set("commit.fsync", "error").ok());
+  Status st = j->Sync();
   ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("injected"), std::string::npos);
-  // The failed batch was rolled off the file: its records must not
-  // survive as phantoms that would replay as accepted.
-  {
-    auto r = Journal::Read(path_);
-    ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(r->truncated);
-    ASSERT_EQ(r->updates.size(), 1u);
-    EXPECT_TRUE(r->updates[0] == ViewUpdate::Insert(Row({4, 10})));
-  }
-  // Third batch: the failpoint fired its once, real fsync resumes, and
-  // the new record lands at the committed boundary.
-  ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({7, 20}))).ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_GT(j->unsynced_bytes(), 0u);  // still exposed, never claimed
+  Failpoints::ClearAll();
+  EXPECT_EQ(j->Sync().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(j->AppendUnsynced({ViewUpdate::Insert(Row({6, 10}))}).code(),
+            StatusCode::kFailedPrecondition);
+  // The unsynced record's bytes are in the file: it may replay, which is
+  // legal because no caller was acknowledged for it.
+  auto again = Journal::Open(path_);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_TRUE(AppendSynced(&*again, {ViewUpdate::Insert(Row({6, 10}))}).ok());
   auto r = Journal::Read(path_);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->truncated);
-  ASSERT_EQ(r->updates.size(), 2u);
-  EXPECT_TRUE(r->updates[1] == ViewUpdate::Insert(Row({7, 20})));
+  ASSERT_EQ(r->updates.size(), 3u);
 }
 
 TEST_F(JournalTest, FailpointShortWritePoisonsHandle) {
@@ -300,11 +326,11 @@ TEST_F(JournalTest, FailpointShortWritePoisonsHandle) {
   // dropped at replay.
   auto j = Journal::Open(path_);
   ASSERT_TRUE(j.ok());
-  ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
+  ASSERT_TRUE(AppendSynced(&*j, {ViewUpdate::Insert(Row({4, 10}))}).ok());
   ASSERT_TRUE(Failpoints::Set("journal.write", "short:3").ok());
-  ASSERT_FALSE(j->Append(ViewUpdate::Insert(Row({5, 20}))).ok());
+  ASSERT_FALSE(j->AppendUnsynced({ViewUpdate::Insert(Row({5, 20}))}).ok());
   Failpoints::ClearAll();
-  Status st = j->Append(ViewUpdate::Insert(Row({6, 10})));
+  Status st = j->AppendUnsynced({ViewUpdate::Insert(Row({6, 10}))});
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   // Repair + reopen restores service; nothing appended through the
@@ -312,7 +338,7 @@ TEST_F(JournalTest, FailpointShortWritePoisonsHandle) {
   ASSERT_TRUE(Journal::Read(path_, /*repair=*/true).ok());
   auto again = Journal::Open(path_);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  ASSERT_TRUE(again->Append(ViewUpdate::Insert(Row({6, 10}))).ok());
+  ASSERT_TRUE(AppendSynced(&*again, {ViewUpdate::Insert(Row({6, 10}))}).ok());
   auto r = Journal::Read(path_);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->truncated);
@@ -334,11 +360,11 @@ TEST_F(JournalTest, OpenAcceptsFinalRecordLargerThanTailWindow) {
   {
     auto j = Journal::Open(path_);
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(big).ok());
+    ASSERT_TRUE(AppendSynced(&*j, {big}).ok());
   }
   auto reopened = Journal::Open(path_);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ASSERT_TRUE(reopened->Append(ViewUpdate::Insert(Row({5, 20}))).ok());
+  ASSERT_TRUE(AppendSynced(&*reopened, {ViewUpdate::Insert(Row({5, 20}))}).ok());
   auto r = Journal::Read(path_);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->truncated);
@@ -348,40 +374,45 @@ TEST_F(JournalTest, OpenAcceptsFinalRecordLargerThanTailWindow) {
 
 TEST_F(JournalTest, FailpointShortWriteOnLengthPrefixRepairsAndReplays) {
   // A short write that tears mid-header (3 bytes keeps only "rv1") leaves
-  // a real torn tail on disk; repair must recover exactly the records
-  // before it, and replay of the repaired journal must equal direct
-  // application of those records (fact (ii)).
+  // a real torn tail on the store's segment; reopening the store must
+  // repair it, replay exactly the records before it, and land on the
+  // state of applying those records directly (fact (ii)).
   {
-    auto j = Journal::Open(path_);
-    ASSERT_TRUE(j.ok());
-    ASSERT_TRUE(j->Append(ViewUpdate::Insert(Row({4, 10}))).ok());
+    ViewTranslator seed = MakeTranslator();
+    auto store = OpenStore(&seed);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(
+        (*store)->AppendUnsynced({ViewUpdate::Insert(Row({4, 10}))}).ok());
+    ASSERT_TRUE((*store)->Sync().ok());
     ASSERT_TRUE(Failpoints::Set("journal.write", "short:3").ok());
-    Status st = j->Append(ViewUpdate::Insert(Row({5, 20})));
+    Status st = (*store)->AppendUnsynced({ViewUpdate::Insert(Row({5, 20}))});
     ASSERT_FALSE(st.ok());
     EXPECT_NE(st.ToString().find("short write"), std::string::npos);
     Failpoints::ClearAll();
   }
-  auto reopened = Journal::Open(path_);
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
-
   ViewTranslator replayed = MakeTranslator();
-  auto r = Journal::Replay(path_, &replayed);  // repairs the tail, too
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r->truncated);
-  ASSERT_EQ(r->updates.size(), 1u);
+  auto store = OpenStore(&replayed);  // repairs the tail, then replays
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const RecoveryInfo& info = (*store)->recovery();
+  EXPECT_EQ(info.replayed, 1u);
+  ASSERT_FALSE(info.warnings.empty());
+  EXPECT_NE(info.warnings[0].find("truncating"), std::string::npos)
+      << info.warnings[0];
 
   ViewTranslator direct = MakeTranslator();
   ASSERT_TRUE(direct.Insert(Row({4, 10})).ok());
   EXPECT_TRUE(replayed.database().SameAs(direct.database()));
-  EXPECT_TRUE(Journal::Open(path_).ok());  // repaired: appendable again
+  // Repaired: the store appends again at the record boundary.
+  ASSERT_TRUE(
+      (*store)->AppendUnsynced({ViewUpdate::Insert(Row({5, 20}))}).ok());
+  ASSERT_TRUE((*store)->Sync().ok());
 }
 
 TEST_F(JournalTest, FailpointWriteErrorLeavesFileUntouched) {
   ASSERT_TRUE(Failpoints::Set("journal.write", "error").ok());
   auto j = Journal::Open(path_);
   ASSERT_TRUE(j.ok());
-  Status st = j->Append(ViewUpdate::Insert(Row({4, 10})));
+  Status st = j->AppendUnsynced({ViewUpdate::Insert(Row({4, 10}))});
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("injected"), std::string::npos);
   auto r = Journal::Read(path_);
@@ -396,9 +427,9 @@ TEST_F(JournalTest, ReplayRequiresBoundTranslator) {
   sigma.fds = *FDSet::Parse(u, "A -> B");
   auto vt = ViewTranslator::Create(u, sigma, u.SetOf("A B"), u.SetOf("B"));
   ASSERT_TRUE(vt.ok());
-  auto r = Journal::Replay(path_, &*vt);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  auto store = OpenStore(&*vt);  // replay needs the seed instance bound
+  EXPECT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

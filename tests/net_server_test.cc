@@ -3,15 +3,16 @@
 // client-side ResponseParser. Covers the wire protocol (commit, atomic
 // rejection, snapshots), admission control (429 + Retry-After), request
 // deadlines, graceful drain, the connection cap, durability degradation
-// under an injected journal-fsync fault (503, never a hang), sharded
+// under an injected cohort-fsync fault (503, never a hang), sharded
 // tenants (routing, composed snapshots, per-shard metric labels), and —
-// via fork + SIGKILL against the sharded group-commit configuration —
+// via fork + SIGKILL against a sharded, group-committing configuration —
 // that journal replay recovers every acknowledged batch.
 
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -324,33 +325,49 @@ TEST_F(NetServerTest, ConnectionCapAnswers503Immediately) {
 TEST_F(NetServerTest, JournalFsyncFaultDegradesTo503NotHang) {
   TenantSpec spec;
   spec.store_root = ::testing::TempDir() + "relview_net_fsync_fault";
+  std::filesystem::remove_all(spec.store_root);
   StartServer({}, spec);
-  Client c(server_->port());
-  ASSERT_TRUE(c.connected());
+  {
+    Client c(server_->port());
+    ASSERT_TRUE(c.connected());
 
-  // Same injection an operator would use: RELVIEW_FAILPOINTS=
-  // "journal.fsync=error*0". Every write must now refuse with 503
-  // (durability), not block a worker or ack unsynced data.
-  ASSERT_TRUE(Failpoints::Set("journal.fsync", "error*0").ok());
-  ResponseParser post;
-  ASSERT_TRUE(c.Do("POST", "/v1/batch",
-                   InsertBody("t0", 17, DeptOfEmp(17, 4)), &post));
-  EXPECT_EQ(post.status(), 503) << post.body();
-  EXPECT_NE(post.body().find("durability"), std::string::npos)
-      << post.body();
+    // Same injection an operator would use: RELVIEW_FAILPOINTS=
+    // "commit.fsync=error*0". The write must refuse with 503 (durability),
+    // not block a worker or ack unsynced data.
+    ASSERT_TRUE(Failpoints::Set("commit.fsync", "error*0").ok());
+    ResponseParser post;
+    ASSERT_TRUE(c.Do("POST", "/v1/batch",
+                     InsertBody("t0", 17, DeptOfEmp(17, 4)), &post));
+    EXPECT_EQ(post.status(), 503) << post.body();
+    EXPECT_NE(post.body().find("durability"), std::string::npos)
+        << post.body();
 
-  // Nothing was acknowledged, so nothing may be visible.
-  ResponseParser get;
-  ASSERT_TRUE(c.Do("GET", "/v1/snapshot?tenant=t0", "", &get));
-  EXPECT_EQ(get.status(), 200);
-  EXPECT_NE(get.body().find("\"version\":0"), std::string::npos);
+    // Nothing was acknowledged, so nothing may be visible.
+    ResponseParser get;
+    ASSERT_TRUE(c.Do("GET", "/v1/snapshot?tenant=t0", "", &get));
+    EXPECT_EQ(get.status(), 200);
+    EXPECT_NE(get.body().find("\"version\":0"), std::string::npos);
 
-  // Clearing the fault restores service on the same connection.
-  Failpoints::ClearAll();
+    // A failed fsync is never retried: clearing the fault does not restore
+    // writes on this store, the tenant keeps refusing them.
+    Failpoints::ClearAll();
+    ResponseParser still;
+    ASSERT_TRUE(c.Do("POST", "/v1/batch",
+                     InsertBody("t0", 18, DeptOfEmp(18, 4)), &still));
+    EXPECT_EQ(still.status(), 503) << still.body();
+  }  // closes the connection before the restart
+
+  // A tenant reopened on the same store (a restart) accepts the retry.
+  server_->Stop();
+  server_.reset();
+  StartServer({}, spec);
+  Client again(server_->port());
+  ASSERT_TRUE(again.connected());
   ResponseParser retry;
-  ASSERT_TRUE(c.Do("POST", "/v1/batch",
-                   InsertBody("t0", 17, DeptOfEmp(17, 4)), &retry));
+  ASSERT_TRUE(again.Do("POST", "/v1/batch",
+                       InsertBody("t0", 17, DeptOfEmp(17, 4)), &retry));
   EXPECT_EQ(retry.status(), 200) << retry.body();
+  std::filesystem::remove_all(spec.store_root);
 }
 
 TEST_F(NetServerTest, MetricsExposeNetAndTenantSections) {
@@ -446,7 +463,6 @@ TEST_F(NetServerTest, AckedBatchesSurviveSigkill) {
   // The production sharded configuration: the kill must not outrun the
   // group-commit ack protocol on any shard (acked ⊆ recovered, composed).
   spec.shards = 2;
-  spec.group_commit = true;
   spec.group_window_us = 500;
 
   int pipe_fds[2];

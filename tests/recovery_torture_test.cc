@@ -10,9 +10,10 @@
 // bit for bit, no matter where the power went out.
 //
 // A second section runs the same discipline against the SHARDED write
-// path (ShardedService, group-commit journals, one data directory per
-// shard) with kill sites inside the commit queue itself; recovery must
-// recompose per-shard oracle states.
+// path (ShardedService, one data directory per shard); recovery must
+// recompose per-shard oracle states. Both sections kill the child inside
+// the commit path itself (before the append, before and after the cohort
+// fsync).
 //
 // Environment knobs:
 //   RELVIEW_TORTURE_ITERS  iterations (default 25; CI runs 200)
@@ -119,9 +120,10 @@ struct KillPoint {
   const char* action;
 };
 constexpr KillPoint kKillPoints[] = {
-    {"service.crash_before_journal", "crash"},
+    {"commit.crash_before_append", "crash"},
     {"journal.crash_after_write", "crash"},
-    {"service.crash_before_publish", "crash"},
+    {"commit.crash_before_sync", "crash"},
+    {"commit.crash_after_sync", "crash"},
     {"checkpoint.crash_before_rename", "crash"},
     {"checkpoint.crash_after_rename", "crash"},
     {"compact.crash_mid_delete", "crash"},
@@ -242,12 +244,12 @@ TEST(RecoveryTortureTest, RandomizedKillPointsRecoverToOracle) {
 
 // ---------------------------------------------------------------------
 // Sharded variant: the same randomized-kill discipline against a
-// ShardedService with the group-commit journal path — N data directories,
-// one journal per shard, crash sites including the commit queue's own
-// failpoints (unsynced append, before/after the cohort fsync). The
-// recovered COMPOSITE state must match a per-shard lockstep oracle: the
-// router is deterministic, so each shard's accepted prefix is exactly the
-// shard-routed sub-stream replayed to that shard's recovered_seq.
+// ShardedService — N data directories, one journal per shard, crash sites
+// including the commit queue's own failpoints (unsynced append,
+// before/after the cohort fsync). The recovered COMPOSITE state must
+// match a per-shard lockstep oracle: the router is deterministic, so each
+// shard's accepted prefix is exactly the shard-routed sub-stream replayed
+// to that shard's recovered_seq.
 // ---------------------------------------------------------------------
 
 /// The canonical schema pieces shared by the sharded child and oracle.
@@ -325,8 +327,8 @@ std::vector<ViewUpdate> MakeShardedWorkload(uint32_t seed_val, int n) {
   return out;
 }
 
-/// Kill sites for the sharded child: the group-commit queue's own
-/// failpoints plus the shared journal/checkpoint sites underneath it.
+/// Kill sites for the sharded child: the commit queue's own failpoints
+/// plus the shared journal/checkpoint sites underneath it.
 constexpr KillPoint kShardedKillPoints[] = {
     {"commit.crash_before_append", "crash"},
     {"commit.crash_before_sync", "crash"},
@@ -367,7 +369,6 @@ TEST(RecoveryTortureTest, ShardedGroupCommitRecoversToPerShardOracles) {
     options.store_root = dir;
     options.checkpoint_every = 5;
     options.rotate_records = 7;
-    options.group_commit = true;
     options.group_window_us = 100;
 
     const pid_t pid = fork();

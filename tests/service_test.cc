@@ -1,13 +1,15 @@
 // UpdateService tests: snapshot versioning and immutability, single-update
-// and batch semantics (all-or-nothing with failure attribution), journal
-// recovery on Create, and metrics accounting.
+// and batch semantics (all-or-nothing with failure attribution), durable-
+// store recovery on Create, the failed-fsync rule, and metrics accounting.
 
 #include "service/update_service.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <string>
+
+#include "util/failpoint.h"
 
 namespace relview {
 namespace {
@@ -37,6 +39,14 @@ std::unique_ptr<UpdateService> MakeService(ServiceOptions options = {}) {
   auto service = UpdateService::Create(MakeTranslator(), options);
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   return std::move(*service);
+}
+
+/// Options for a durable service in a fresh store directory `name`.
+ServiceOptions FreshStore(const std::string& name) {
+  ServiceOptions options;
+  options.store.dir = ::testing::TempDir() + name;
+  std::filesystem::remove_all(options.store.dir);
+  return options;
 }
 
 TEST(UpdateServiceTest, CreateRequiresBoundTranslator) {
@@ -179,10 +189,7 @@ TEST(UpdateServiceTest, MetricsCountAcceptedAndRejectedPerKind) {
 }
 
 TEST(UpdateServiceTest, JournaledServiceRecoversStateOnRestart) {
-  const std::string path = ::testing::TempDir() + "service_recover.log";
-  std::remove(path.c_str());
-  ServiceOptions options;
-  options.journal_path = path;
+  const ServiceOptions options = FreshStore("service_recover.store");
   {
     auto service = MakeService(options);
     ASSERT_TRUE(service->Apply(ViewUpdate::Insert(Row({4, 10}))).ok());
@@ -202,28 +209,119 @@ TEST(UpdateServiceTest, JournaledServiceRecoversStateOnRestart) {
   EXPECT_EQ(snap.database->size(), 4);
   // And the revived service keeps journaling.
   ASSERT_TRUE(reborn->Apply(ViewUpdate::Delete(Row({5, 20}))).ok());
+  reborn.reset();
   auto third = MakeService(options);
   EXPECT_EQ(third->replayed_updates(), 4u);
   EXPECT_FALSE(third->Snapshot().view->ContainsRow(Row({5, 20})));
-  std::remove(path.c_str());
+  third.reset();
+  std::filesystem::remove_all(options.store.dir);
 }
 
 TEST(UpdateServiceTest, RejectedBatchIsNotJournaled) {
-  const std::string path = ::testing::TempDir() + "service_no_journal.log";
-  std::remove(path.c_str());
-  ServiceOptions options;
-  options.journal_path = path;
+  const ServiceOptions options = FreshStore("service_no_journal.store");
   {
     auto service = MakeService(options);
     EXPECT_FALSE(service
                      ->ApplyBatch({ViewUpdate::Insert(Row({4, 10})),
                                    ViewUpdate::Insert(Row({1, 20}))})
                      .ok());
+    EXPECT_EQ(service->store()->seq(), 0u);  // nothing reached the journal
   }
   auto reborn = MakeService(options);
   EXPECT_EQ(reborn->replayed_updates(), 0u);
   EXPECT_EQ(reborn->Snapshot().view->size(), 3);
-  std::remove(path.c_str());
+  reborn.reset();
+  std::filesystem::remove_all(options.store.dir);
+}
+
+TEST(UpdateServiceTest, FailedCohortFsyncRefusesWritesUntilReopen) {
+  struct ClearFailpoints {
+    ~ClearFailpoints() { Failpoints::ClearAll(); }
+  } clear;
+  const ServiceOptions options = FreshStore("service_fsync_fault.store");
+  {
+    auto service = MakeService(options);
+    ASSERT_TRUE(service->Apply(ViewUpdate::Insert(Row({4, 10}))).ok());
+
+    ASSERT_TRUE(Failpoints::Set("commit.fsync", "error").ok());
+    const BatchResult failed =
+        service->ApplyBatch({ViewUpdate::Insert(Row({5, 20}))});
+    EXPECT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status.code(), StatusCode::kInternal);
+    EXPECT_EQ(failed.failed_index, -1);  // not a verdict: every update passed
+    // Not acknowledged, so not published either.
+    EXPECT_EQ(service->version(), 1u);
+    EXPECT_FALSE(service->Snapshot().view->ContainsRow(Row({5, 20})));
+    EXPECT_EQ(service->metrics().batches_committed(), 1u);
+
+    // A failed fsync is never retried: clearing the fault does not make
+    // the store writable again.
+    Failpoints::ClearAll();
+    const BatchResult later =
+        service->ApplyBatch({ViewUpdate::Insert(Row({6, 10}))});
+    EXPECT_FALSE(later.ok());
+    EXPECT_EQ(later.status.code(), StatusCode::kInternal);
+    EXPECT_EQ(service->version(), 1u);
+  }
+  // Reopening recovers every acknowledged batch. The failed batch's bytes
+  // reached the file before its fsync failed, so it may replay too —
+  // acked ⊆ recovered allows that; the refused write never got that far.
+  auto reborn = MakeService(options);
+  const ViewSnapshot snap = reborn->Snapshot();
+  EXPECT_TRUE(snap.view->ContainsRow(Row({4, 10})));
+  EXPECT_FALSE(snap.view->ContainsRow(Row({6, 10})));
+  EXPECT_GE(reborn->replayed_updates(), 1u);
+  EXPECT_LE(reborn->replayed_updates(), 2u);
+  ASSERT_TRUE(reborn->Apply(ViewUpdate::Insert(Row({6, 10}))).ok());
+  reborn.reset();
+  std::filesystem::remove_all(options.store.dir);
+}
+
+TEST(UpdateServiceTest, FailedRotationFsyncRefusesWritesUntilReopen) {
+  // Rotation fsyncs the full segment before closing it; that fsync
+  // failing poisons the store exactly like a failed cohort fsync.
+  struct ClearFailpoints {
+    ~ClearFailpoints() { Failpoints::ClearAll(); }
+  } clear;
+  ServiceOptions options = FreshStore("service_rotate_fault.store");
+  options.store.rotate_records = 1;
+  {
+    auto service = MakeService(options);
+    ASSERT_TRUE(service->Apply(ViewUpdate::Insert(Row({4, 10}))).ok());
+    ASSERT_TRUE(Failpoints::Set("commit.fsync", "error").ok());
+    EXPECT_EQ(service->Apply(ViewUpdate::Insert(Row({5, 20}))).code(),
+              StatusCode::kInternal);
+    Failpoints::ClearAll();
+    EXPECT_EQ(service->Apply(ViewUpdate::Insert(Row({6, 10}))).code(),
+              StatusCode::kInternal);
+    EXPECT_EQ(service->version(), 1u);
+  }
+  auto reborn = MakeService(options);
+  EXPECT_EQ(reborn->replayed_updates(), 1u);  // the failed batches never
+                                              // reached the journal
+  ASSERT_TRUE(reborn->Apply(ViewUpdate::Insert(Row({5, 20}))).ok());
+  reborn.reset();
+  std::filesystem::remove_all(options.store.dir);
+}
+
+TEST(UpdateServiceTest, RolledBackBatchLowersNoEngineGauge) {
+  auto service = MakeService();
+  ASSERT_TRUE(service->Apply(ViewUpdate::Insert(Row({4, 10}))).ok());
+  const EngineStats before = service->metrics().engine_gauges();
+  // The first update applies in place, the second is rejected: the
+  // rollback reinstalls the saved relation, which drops the engine.
+  EXPECT_FALSE(service
+                   ->ApplyBatch({ViewUpdate::Insert(Row({5, 20})),
+                                 ViewUpdate::Insert(Row({1, 20}))})
+                   .ok());
+  // The next batch rebuilds the engine and republishes the gauges.
+  ASSERT_TRUE(service->Apply(ViewUpdate::Insert(Row({6, 10}))).ok());
+  const EngineStats after = service->metrics().engine_gauges();
+#define RELVIEW_EXPECT_NOT_LOWER(name) \
+  EXPECT_GE(after.name, before.name) << #name;
+  RELVIEW_ENGINE_STAT_FIELDS(RELVIEW_EXPECT_NOT_LOWER)
+#undef RELVIEW_EXPECT_NOT_LOWER
+  EXPECT_EQ(after.index_rebuilds, before.index_rebuilds + 1);
 }
 
 }  // namespace

@@ -252,7 +252,6 @@ TEST(ShardedServiceTest, RecoveryRecomposesAcrossPerShardStores) {
   ShardedServiceOptions options;
   options.shards = 3;
   options.store_root = root;
-  options.group_commit = true;
   options.group_window_us = 200;
 
   std::vector<uint32_t> acked;
@@ -288,7 +287,6 @@ TEST(ShardedServiceTest, GroupCommitAmortizesFsyncsUnderConcurrency) {
   ShardedServiceOptions options;
   options.shards = 2;
   options.store_root = root;
-  options.group_commit = true;
   options.group_window_us = 2000;
   auto svc = f.Make(options);
   ASSERT_NE(svc, nullptr);

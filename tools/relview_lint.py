@@ -15,6 +15,11 @@ Complements the compiler-side analyses (clang -Wthread-safety, clang-tidy,
                          first when diagnosing fsync amortization) has a
                          row in the "Failpoint catalog:" table itself, not
                          merely a mention somewhere in the document
+  failpoint-stale-catalog
+                         every row of the "Failpoint catalog:" table names
+                         a RELVIEW_FAILPOINT site that still exists (an
+                         operator arming a deleted site gets silence, not
+                         a fault)
   failpoint-nonliteral   RELVIEW_FAILPOINT takes a string literal (specs
                          and the catalog are greppable only for literals)
   failpoint-direct-check code outside util/failpoint.* calls
@@ -245,12 +250,13 @@ TELEMETRY_ROW_NAME = re.compile(r"^\|\s*`(relview_[a-z0-9_]+)`")
 
 def catalog_table_names(catalog):
     """Names with a row in the "Failpoint catalog:" table of
-    docs/OPERATIONS.md — the region from that marker line through the
-    last consecutive table/blank line. Prose mentions elsewhere in the
-    document do not count for rules keyed on the table."""
-    names = set()
+    docs/OPERATIONS.md, mapped to the row's line number — the region from
+    that marker line through the last consecutive table/blank line. Prose
+    mentions elsewhere in the document do not count for rules keyed on the
+    table."""
+    names = {}
     in_table = False
-    for line in catalog.splitlines():
+    for ln, line in enumerate(catalog.splitlines(), 1):
         if line.strip() == "Failpoint catalog:":
             in_table = True
             continue
@@ -262,7 +268,7 @@ def catalog_table_names(catalog):
             break
         m = CATALOG_ROW_NAME.match(line.strip())
         if m:
-            names.add(m.group(1))
+            names[m.group(1)] = ln
     return names
 
 
@@ -393,7 +399,8 @@ def check_bench_docs(root, findings):
 
 
 def check_failpoints(root, files, findings):
-    """Site uniqueness, literal-ness, documentation, macro discipline."""
+    """Site uniqueness, literal-ness, documentation (both directions),
+    macro discipline."""
     catalog = ""
     ops = os.path.join(root, "docs", "OPERATIONS.md")
     if os.path.exists(ops):
@@ -458,6 +465,14 @@ def check_failpoints(root, files, findings):
                                 "are the first thing operators arm when "
                                 "diagnosing fsync amortization, so a prose "
                                 "mention is not enough"))
+    catalog_lines = catalog.splitlines()
+    for name, ln in sorted(table_names.items()):
+        if name not in seen and not suppressed(catalog_lines[ln - 1],
+                                               "failpoint-stale-catalog"):
+            findings.append(Finding(
+                "docs/OPERATIONS.md", ln, "failpoint-stale-catalog",
+                f"failpoint catalog row `{name}` names no RELVIEW_FAILPOINT "
+                "site; delete the row or restore the site"))
 
 
 def check_mutexes(root, files, findings):

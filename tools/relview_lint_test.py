@@ -154,6 +154,48 @@ class FailpointRules(LintFixture):
         self.write("src/service/a.cc", 'RELVIEW_FAILPOINT("known.site");\n')
         self.assert_clean()
 
+    def catalog(self, *names):
+        self.write("docs/OPERATIONS.md",
+                   "Failpoint catalog:\n"
+                   "\n"
+                   "| Name | Site | Sensible actions |\n"
+                   "|---|---|---|\n"
+                   + "".join(f"| `{n}` | somewhere | `crash` |\n"
+                             for n in names))
+
+    def test_stale_catalog_row(self):
+        # The row outlived its site: arming it would inject nothing.
+        self.catalog("live.site", "gone.site")
+        self.write("src/service/a.cc", 'RELVIEW_FAILPOINT("live.site");\n')
+        code, out = self.run_lint()
+        self.assertEqual(code, 1)
+        self.assert_rules(out, "failpoint-stale-catalog")
+        self.assertIn("docs/OPERATIONS.md:6:", out, out)
+        self.assertIn("gone.site", out, out)
+        self.assertNotIn("live.site", out, out)
+
+    def test_catalog_row_with_site_anywhere_clean(self):
+        # A site in tests/ or bench/ keeps its row alive as well as src/.
+        self.catalog("live.site", "test.site")
+        self.write("src/service/a.cc", 'RELVIEW_FAILPOINT("live.site");\n')
+        self.write("tests/a_test.cc", 'RELVIEW_FAILPOINT("test.site");\n')
+        self.assert_clean()
+
+    def test_stale_rule_ignores_prose_mentions(self):
+        # Only table rows are held to the rule; prose may name anything.
+        self.write("docs/OPERATIONS.md",
+                   "Catalog: `known.site`; `journal.fsync` was removed.\n")
+        self.write("src/service/a.cc", 'RELVIEW_FAILPOINT("known.site");\n')
+        self.assert_clean()
+
+    def test_stale_catalog_row_suppressible(self):
+        self.write("docs/OPERATIONS.md",
+                   "Failpoint catalog:\n"
+                   "\n"
+                   "| `gone.site` | kept on purpose | `crash` | "
+                   "<!-- relview-lint: allow(failpoint-stale-catalog) -->\n")
+        self.assert_clean()
+
 
 class MetricTableRule(LintFixture):
     def ops_with_table(self, *rows):
